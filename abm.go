@@ -19,6 +19,7 @@
 package abm
 
 import (
+	"fmt"
 	"io"
 
 	"abm/internal/analytic"
@@ -120,8 +121,8 @@ func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
 // fields.
 func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }
 
-// RunScenario resolves and executes one scenario on the engine its
-// Shards field selects.
+// RunScenario resolves and executes one scenario, partitioned across
+// the shards its Shards field asks for.
 func RunScenario(s Scenario) (ScenarioResult, error) {
 	res, _, err := scenario.Run(s)
 	return res, err
@@ -182,11 +183,13 @@ func ABMDrainTimeBound(b ByteCount, alphaP float64, bandwidth Rate) Time {
 
 // Simulation wraps a live fabric for custom scenarios: start flows by
 // hand or attach the paper's workload generators, then run the virtual
-// clock.
+// clock. The fabric runs on a one-shard parallel engine, the same
+// engine scenario runs use.
 type Simulation struct {
-	sim *sim.Simulator
-	net *topo.Network
-	col *metrics.Collector
+	par  *sim.Parallel
+	net  *topo.Network
+	col  *metrics.Collector
+	gens []workload.Generator
 }
 
 // SimulationConfig parameterizes a custom fabric.
@@ -287,11 +290,11 @@ func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
 // spec (its workload and duration fields are ignored — the caller
 // drives traffic and the clock).
 func NewSimulationFromScenario(sc Scenario) (*Simulation, error) {
-	_, eng, net, _, err := scenario.BuildFabric(sc)
+	_, p, net, _, err := scenario.BuildFabric(sc)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{sim: eng, net: net, col: &metrics.Collector{}}, nil
+	return &Simulation{par: p, net: net, col: &metrics.Collector{}}, nil
 }
 
 // NumHosts returns the number of servers in the fabric.
@@ -300,52 +303,71 @@ func (s *Simulation) NumHosts() int { return s.net.NumHosts() }
 // BaseRTT returns the fabric's longest-path propagation RTT.
 func (s *Simulation) BaseRTT() Time { return s.net.BaseRTT() }
 
-// Now returns the current simulated time.
-func (s *Simulation) Now() Time { return s.sim.Now() }
+// Now returns the current simulated time: the last Run deadline between
+// runs, the firing event's time inside a callback.
+func (s *Simulation) Now() Time { return max(s.par.Now(), s.par.Shard(0).Now()) }
 
 // StartFlow launches one flow using the named congestion-control
-// algorithm. onComplete (may be nil) fires when every byte is
-// acknowledged.
+// algorithm at the current time. onComplete (may be nil) fires when
+// every byte is acknowledged.
 func (s *Simulation) StartFlow(src, dst int, size ByteCount, prio uint8,
 	ccName string, onComplete func(fct Time)) error {
+	n := s.net.NumHosts()
+	switch {
+	case src < 0 || src >= n || dst < 0 || dst >= n:
+		return fmt.Errorf("abm: flow %d -> %d outside hosts [0, %d)", src, dst, n)
+	case src == dst:
+		return fmt.Errorf("abm: flow from host %d to itself", src)
+	case size <= 0:
+		return fmt.Errorf("abm: flow size %v must be positive", size)
+	}
 	factory, err := cc.NewFactory(ccName)
 	if err != nil {
 		return err
 	}
-	start := s.sim.Now()
-	rec := metrics.FlowRecord{
+	start := s.Now()
+	s.col.AddFlow(metrics.FlowRecord{
 		Class: metrics.ClassOther,
 		Prio:  prio,
 		Size:  size,
 		Start: start,
 		Ideal: s.net.IdealFCT(src, dst, size),
-	}
-	s.col.AddFlow(rec)
+	})
 	idx := len(s.col.Flows) - 1
-	id := s.net.StartFlow(src, dst, size, prio, factory(), func(now Time) {
+	id := s.net.AllocFlowID()
+	s.col.Flows[idx].ID = id
+	done := func(now Time) {
 		s.col.Flows[idx].End = now
 		s.col.Flows[idx].Finished = true
 		if onComplete != nil {
 			onComplete(now - start)
 		}
+	}
+	algo := factory()
+	s.net.SimOfHost(src).At(start, func() {
+		s.net.StartFlowWithID(id, src, dst, size, prio, algo, done)
 	})
-	s.col.Flows[idx].ID = id
 	return nil
 }
 
 // AttachWebSearch starts the paper's Poisson web-search workload at the
-// given bisection load.
+// given bisection load, arriving from the current time on. Call it
+// between runs: each Run plans the arrivals up to its deadline.
 func (s *Simulation) AttachWebSearch(load float64, ccName string, prio uint8) (*workload.WebSearch, error) {
 	factory, err := cc.NewFactory(ccName)
 	if err != nil {
 		return nil, err
 	}
 	ws := &workload.WebSearch{Net: s.net, Load: load, CC: factory, Prio: prio, Collect: s.col}
-	ws.Start()
+	if err := ws.Begin(s.Now()); err != nil {
+		return nil, err
+	}
+	s.gens = append(s.gens, ws)
 	return ws, nil
 }
 
-// AttachIncast starts the paper's query/response incast workload.
+// AttachIncast starts the paper's query/response incast workload; like
+// AttachWebSearch, call it between runs. A zero fanout selects 8.
 func (s *Simulation) AttachIncast(requestSize ByteCount, fanout int, qps float64,
 	ccName string, prio uint8) (*workload.Incast, error) {
 	factory, err := cc.NewFactory(ccName)
@@ -356,20 +378,30 @@ func (s *Simulation) AttachIncast(requestSize ByteCount, fanout int, qps float64
 		Net: s.net, RequestSize: requestSize, Fanout: fanout,
 		QueryRate: qps, CC: factory, Prio: prio, Collect: s.col,
 	}
-	ic.Start()
+	if err := ic.Begin(s.Now()); err != nil {
+		return nil, err
+	}
+	s.gens = append(s.gens, ic)
 	return ic, nil
 }
 
-// Run advances the virtual clock to the given absolute time.
+// Run plans the attached workloads' arrivals up to the given absolute
+// time and advances the virtual clock to it. A time already passed is a
+// no-op.
 func (s *Simulation) Run(until Time) {
-	s.sim.RunUntil(until)
+	if until < s.par.Now() {
+		return
+	}
+	workload.Plan(until, s.gens...)
+	s.par.RunUntil(until)
 }
 
 // Drain stops the switch tickers and runs the calendar dry; call once at
-// the end of a scenario.
+// the end of a scenario. Arrivals past the last Run deadline are never
+// planned, so attached workloads need not be stopped first.
 func (s *Simulation) Drain() {
 	s.net.Stop()
-	s.sim.Run()
+	s.par.Drain()
 }
 
 // Flows returns the records of all flows started so far.

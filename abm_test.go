@@ -114,6 +114,45 @@ func TestSimulationRejectsBadNames(t *testing.T) {
 	}
 }
 
+// TestSimulationRejectsBadInput: every caller mistake on the
+// Simulation API is an error, never a panic, and leaves the fabric
+// untouched.
+func TestSimulationRejectsBadInput(t *testing.T) {
+	simn, err := NewSimulation(SimulationConfig{Seed: 1, Spines: 2, Leaves: 2, HostsPerLeaf: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"flow to self", func() error { return simn.StartFlow(0, 0, 1000, 0, "dctcp", nil) }},
+		{"dst out of range", func() error { return simn.StartFlow(0, 99, 1000, 0, "dctcp", nil) }},
+		{"negative src", func() error { return simn.StartFlow(-1, 1, 1000, 0, "dctcp", nil) }},
+		{"web search load 0", func() error { _, err := simn.AttachWebSearch(0, "cubic", 0); return err }},
+		{"web search load 2", func() error { _, err := simn.AttachWebSearch(2, "cubic", 0); return err }},
+		{"incast qps 0", func() error { _, err := simn.AttachIncast(200*Kilobyte, 4, 0, "cubic", 0); return err }},
+		{"incast request 0", func() error { _, err := simn.AttachIncast(0, 4, 500, "cubic", 0); return err }},
+		{"incast negative fanout", func() error { _, err := simn.AttachIncast(200*Kilobyte, -1, 500, "cubic", 0); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := tc.call(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+	simn.Run(5 * Millisecond)
+	simn.Drain()
+	if n := len(simn.Flows()); n != 0 {
+		t.Fatalf("rejected calls left %d flows", n)
+	}
+}
+
 func TestRunFigureFacade(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RunFigure("fig4", ScaleSmall, 1, &buf); err != nil {

@@ -43,7 +43,7 @@ func run() int {
 		seed    = flag.Int64("seed", 1, "random seed")
 		out     = flag.String("out", "", "output directory (default: stdout, figures sequential)")
 		workers = flag.Int("workers", runtime.NumCPU(), "parallel figure workers (with -out)")
-		shards  = flag.Int("shards", 0, "simulation shards per cell (0 = serial loop; >=1 runs the parallel engine, clamped to the fabric's leaf count)")
+		shards  = flag.Int("shards", 0, "simulation shards per cell (0 = 1; clamped to the fabric's leaf count; output is identical at every count)")
 		noJSON  = flag.Bool("no-json", false, "with -out, skip the per-cell JSON record store")
 		scn     = flag.String("scenario", "", "overlay this scenario file's fabric shape (dimensions, link rates, delay) onto every cell; -scale still picks durations")
 		pf      prof.Flags

@@ -77,7 +77,7 @@ func run() int {
 		connect     = flag.String("connect", "", "join a sweepd coordinator at this address as a worker instead of running a local sweep (uses -workers slots; all grid flags are ignored)")
 		out         = flag.String("out", "sweep-results", "result store directory (jobs/, manifest.jsonl, aggregate.json)")
 		workers     = flag.Int("workers", runtime.NumCPU(), "parallel workers")
-		shards      = flag.Int("shards", 0, "simulation shards per job (0 = serial loop; >=1 runs the parallel engine; workers are capped so shards x workers <= GOMAXPROCS)")
+		shards      = flag.Int("shards", 0, "simulation shards per job (0 = 1; workers are capped so shards x workers <= GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 		retries     = flag.Int("retries", 1, "retries for jobs failing with an error")
 		resume      = flag.Bool("resume", false, "skip jobs already completed in the -out manifest")

@@ -99,7 +99,7 @@ func serveCmd(args []string) int {
 		qpp      = fs.Int("queues", 0, "queues per port (0 = default)")
 		workload = fs.String("workload", "", "background workload: websearch (default), datamining")
 		duration = fs.Float64("duration-ms", 0, "traffic duration override in milliseconds (0 = scale default)")
-		shards   = fs.Int("shards", 0, "simulation shards per job (0 = serial loop)")
+		shards   = fs.Int("shards", 0, "simulation shards per job (0 = 1)")
 		timeout  = fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 		scnFile  = fs.String("scenario", "", "base scenario JSON file; -vary axes mutate it by field path")
 		vary     varyAxes

@@ -301,7 +301,7 @@ func (p *Port) Rate() units.Rate { return p.rate }
 // SetRate changes the port bandwidth (link degradation/restoration).
 // The new rate applies from the next transmission start; a packet
 // already serializing finishes at the old rate. Callers must hold the
-// fabric quiescent (serial execution or a window barrier).
+// fabric quiescent (a window barrier).
 func (p *Port) SetRate(r units.Rate) {
 	if r <= 0 {
 		panic("device: port rate must be positive")

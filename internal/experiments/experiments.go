@@ -76,12 +76,10 @@ type Cell struct {
 	Scale Scale
 	Seed  int64
 
-	// Shards selects the run mode: 0 (default) is the legacy serial
-	// loop; N >= 1 runs the topology-sharded parallel engine with
-	// min(N, NumLeaves) shards. Engine output is identical at every
-	// shard count (the canonical barrier merge is partition-invariant);
-	// it can differ from the legacy loop only in the execution order of
-	// events sharing an exact picosecond timestamp.
+	// Shards partitions the fabric across min(max(N, 1), NumLeaves)
+	// shards of the parallel engine; 0 (default) means one shard.
+	// Output is identical at every shard count (the canonical barrier
+	// merge is partition-invariant).
 	Shards int
 
 	// Fabric overrides the Scale-derived fabric shape (dimensions, link

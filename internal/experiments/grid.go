@@ -40,8 +40,8 @@ type Grid struct {
 	Workload      string  `json:"workload,omitempty"`
 	Trimming      bool    `json:"trimming,omitempty"`
 	DurationMS    float64 `json:"duration_ms,omitempty"`
-	// Shards runs every cell on the topology-sharded parallel engine
-	// with that many shards (see Cell.Shards); 0 keeps the serial loop.
+	// Shards runs every cell on that many engine shards (see
+	// Cell.Shards); 0 means one.
 	Shards int `json:"shards,omitempty"`
 	// TimeoutSec bounds each job's wall-clock seconds; 0 means none.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`

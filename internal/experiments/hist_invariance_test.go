@@ -43,17 +43,17 @@ func TestHistShardInvariance(t *testing.T) {
 		if shards == 1 {
 			refSeries, refHists = series, hists
 			if len(series) == 0 {
-				t.Fatal("serial run wrote no snapshot series")
+				t.Fatal("one-shard run wrote no snapshot series")
 			}
 			ws, ok := res.Hists["fct_slowdown_websearch"]
 			if !ok || ws.Count == 0 {
-				t.Fatalf("serial run recorded no web-search slowdowns: %v", res.Hists)
+				t.Fatalf("one-shard run recorded no web-search slowdowns: %v", res.Hists)
 			}
 			if qd := res.Hists["queue_delay_ps"]; qd.Count == 0 {
-				t.Fatal("serial run recorded no queueing delays")
+				t.Fatal("one-shard run recorded no queueing delays")
 			}
 			if hr := res.Hists["admit_headroom_bytes"]; hr.Count == 0 {
-				t.Fatal("serial run recorded no admission headroom")
+				t.Fatal("one-shard run recorded no admission headroom")
 			}
 			continue
 		}

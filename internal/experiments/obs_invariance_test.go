@@ -52,10 +52,10 @@ func TestObsShardInvariance(t *testing.T) {
 		if shards == 1 {
 			refNDJSON, refTotals = data, model
 			if len(data) == 0 {
-				t.Fatal("serial run exported no events")
+				t.Fatal("one-shard run exported no events")
 			}
 			if refTotals["model/data_pkts_sent"] == 0 || refTotals["model/admitted_pkts"] == 0 {
-				t.Fatalf("serial run recorded no traffic: %v", refTotals)
+				t.Fatalf("one-shard run recorded no traffic: %v", refTotals)
 			}
 			continue
 		}

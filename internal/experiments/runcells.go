@@ -18,10 +18,9 @@ import (
 type RunOptions struct {
 	// Workers is the cell-level parallelism; <=0 means NumCPU.
 	Workers int
-	// Shards, when >=1, runs every cell on the topology-sharded
-	// parallel engine with that many shards (see Cell.Shards); 0 keeps
-	// each cell's own setting. The pool caps Workers so that
-	// shards x workers stays within GOMAXPROCS.
+	// Shards, when >=1, runs every cell on that many engine shards
+	// (see Cell.Shards); 0 keeps each cell's own setting. The pool caps
+	// Workers so that shards x workers stays within GOMAXPROCS.
 	Shards int
 	// Timeout bounds each cell's wall-clock time; 0 means none.
 	Timeout time.Duration

@@ -14,27 +14,28 @@ import (
 	"abm/internal/units"
 )
 
-// edgeNet is a one-spine two-leaf fabric: every cross-leaf flow shares
-// the single uplink/downlink pair, so port-sharing triggers are easy to
-// provoke.
-func edgeNet(seed int64) (*sim.Simulator, *topo.Network, *Controller) {
-	s := sim.New(seed)
-	n := topo.NewNetwork(s, topo.Config{
+// edgeNet is a one-spine two-leaf fabric on a one-shard engine: every
+// cross-leaf flow shares the single uplink/downlink pair, so
+// port-sharing triggers are easy to provoke.
+func edgeNet(seed int64) (*sim.Parallel, *topo.Network, *Controller) {
+	p := sim.NewParallel(seed, 1)
+	cfg := topo.Config{
 		NumSpines:    1,
 		NumLeaves:    2,
 		HostsPerLeaf: 2,
 		LinkRate:     10 * units.GigabitPerSec,
 		LinkDelay:    10 * units.Microsecond,
-	})
-	c := New(s, n, Config{})
+	}
+	n := topo.NewShardedNetwork(p, cfg, topo.MakePartition(cfg.Graph(), 1))
+	c := New(p.Shard(0), n, Config{})
 	c.Start()
-	return s, n, c
+	return p, n, c
 }
 
 // runToDemotion steps the simulation until the controller has demoted
 // at least one flow (it may already have been promoted again by the
 // time a poll sees it — check c.flows for current residency).
-func runToDemotion(t *testing.T, s *sim.Simulator, c *Controller) units.Time {
+func runToDemotion(t *testing.T, s *sim.Parallel, c *Controller) units.Time {
 	t.Helper()
 	deadline := 20 * units.Millisecond
 	for step := units.Time(0); step < deadline; step += 20 * units.Microsecond {
@@ -54,7 +55,7 @@ func runToDemotion(t *testing.T, s *sim.Simulator, c *Controller) units.Time {
 func TestBurstMidEpochPromotes(t *testing.T) {
 	s, n, c := edgeNet(7)
 	defer n.Stop()
-	s.At(0, func() {
+	s.Shard(0).At(0, func() {
 		n.StartFlow(0, 2, 20*units.Megabyte, 0, cc.NewSwift(), nil)
 	})
 	at := runToDemotion(t, s, c)
@@ -62,7 +63,7 @@ func TestBurstMidEpochPromotes(t *testing.T) {
 
 	// Land the burst strictly between two epoch ticks.
 	burstAt := at + c.cfg.EpochDt/2
-	s.At(burstAt, func() {
+	s.Shard(0).At(burstAt, func() {
 		n.StartFlow(1, 3, 100*units.Kilobyte, 0, cc.NewSwift(), nil)
 	})
 	s.RunUntil(burstAt + 1)
@@ -86,7 +87,7 @@ func TestBurstMidEpochPromotes(t *testing.T) {
 func TestGuardBandCrossingPromotes(t *testing.T) {
 	s, n, c := edgeNet(9)
 	defer n.Stop()
-	s.At(0, func() {
+	s.Shard(0).At(0, func() {
 		n.StartFlow(0, 2, 20*units.Megabyte, 0, cc.NewSwift(), nil)
 	})
 	at := runToDemotion(t, s, c)
@@ -118,7 +119,7 @@ func TestCompletionInPacketMode(t *testing.T) {
 	defer n.Stop()
 	size := 8 * units.Megabyte
 	var fct units.Time
-	s.At(0, func() {
+	s.Shard(0).At(0, func() {
 		n.StartFlow(0, 2, size, 0, cc.NewSwift(), func(now units.Time) { fct = now })
 	})
 	runToDemotion(t, s, c)
@@ -151,13 +152,13 @@ func TestCompletionInPacketMode(t *testing.T) {
 func TestCohortHoldsBackUnsteady(t *testing.T) {
 	s, n, c := edgeNet(13)
 	defer n.Stop()
-	s.At(0, func() {
+	s.Shard(0).At(0, func() {
 		n.StartFlow(0, 2, 20*units.Megabyte, 0, cc.NewSwift(), nil)
 	})
 	// The second large flow arrives much later: while it climbs toward
 	// steady state, the first must not be demoted without it.
 	late := 5 * units.Millisecond
-	s.At(late, func() {
+	s.Shard(0).At(late, func() {
 		n.StartFlow(1, 3, 20*units.Megabyte, 0, cc.NewSwift(), nil)
 	})
 	s.RunUntil(late + 100*units.Microsecond)

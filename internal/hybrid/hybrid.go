@@ -183,7 +183,7 @@ type flow struct {
 	frozen bool // water-filling scratch
 }
 
-// Controller runs the hybrid engine for one serial simulation.
+// Controller runs the hybrid engine over a one-shard fabric.
 type Controller struct {
 	sim *sim.Simulator
 	net *topo.Network
@@ -216,8 +216,9 @@ type Controller struct {
 	histPromoLead *hist.Histogram
 }
 
-// New builds a controller over a serial-engine network. Call Start to
-// begin integration epochs and install the flow-start hook.
+// New builds a controller over a one-shard network; s is the simulator
+// every switch and host schedules on. Call Start to begin integration
+// epochs and install the flow-start hook.
 func New(s *sim.Simulator, n *topo.Network, cfg Config) *Controller {
 	if cfg.GuardBandFrac <= 0 || cfg.GuardBandFrac > 1 {
 		cfg.GuardBandFrac = 0.5

@@ -39,7 +39,7 @@ type Pool struct {
 	// Workers is the number of concurrent jobs; <=0 means NumCPU.
 	Workers int
 	// JobShards is the number of simulation shards each job itself runs
-	// on (its internal goroutine fan-out); <=1 means jobs are serial.
+	// on (its internal goroutine fan-out); <=1 means one.
 	// When >1, Run caps the worker count so that workers x JobShards
 	// stays within GOMAXPROCS instead of silently oversubscribing the
 	// machine, and logs the adjustment to Progress.

@@ -259,8 +259,8 @@ func (s Scenario) Resolve() (Scenario, error) {
 	// stays all-zero and is omitted from resolved specs.
 	hy := &r.Hybrid
 	if hy.Enabled {
-		if r.Shards >= 1 {
-			return Scenario{}, fmt.Errorf("scenario: the hybrid fluid/packet engine requires the serial engine (shards 0), got shards %d", r.Shards)
+		if r.Shards >= 2 {
+			return Scenario{}, fmt.Errorf("scenario: the hybrid fluid/packet engine runs on one shard (shards 0 or 1), got shards %d", r.Shards)
 		}
 		if hy.GuardBandFrac > 1 {
 			return Scenario{}, fmt.Errorf("scenario: hybrid guard_band_frac %g exceeds 1", hy.GuardBandFrac)

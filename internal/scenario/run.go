@@ -49,8 +49,7 @@ type Result struct {
 	Hybrid *hybrid.Stats
 }
 
-// samplerInterval is the buffer-occupancy sampling period in both run
-// modes.
+// samplerInterval is the buffer-occupancy sampling period.
 const samplerInterval = 100 * units.Microsecond
 
 // rateOf converts a Gbps knob to the simulator's integer bits/s rate.
@@ -124,24 +123,27 @@ func (s Scenario) topoConfig() (topo.Config, units.ByteCount) {
 	return cfg, totalBuffer
 }
 
-// BuildFabric resolves the scenario and constructs the serial engine and
-// fabric without any workloads attached — the programmatic Simulation
-// API drives traffic itself.
-func BuildFabric(s Scenario) (Scenario, *sim.Simulator, *topo.Network, units.ByteCount, error) {
+// BuildFabric resolves the scenario and constructs a one-shard engine
+// and its fabric without any workloads attached — the programmatic
+// Simulation API drives traffic itself. One shard never starts a worker
+// goroutine, so the engine needs no Close.
+func BuildFabric(s Scenario) (Scenario, *sim.Parallel, *topo.Network, units.ByteCount, error) {
 	r, err := s.Resolve()
 	if err != nil {
 		return Scenario{}, nil, nil, 0, err
 	}
 	cfg, totalBuffer := r.topoConfig()
-	eng := sim.New(r.Seed)
-	n := topo.NewNetwork(eng, cfg)
-	return r, eng, n, totalBuffer, nil
+	p := sim.NewParallel(r.Seed, 1)
+	n := topo.NewShardedNetwork(p, cfg, topo.MakePartition(cfg.Graph(), 1))
+	return r, p, n, totalBuffer, nil
 }
 
 // Run resolves and executes one scenario, returning its result and the
 // metrics collector with every flow record for tracing and custom
-// analysis. Shards selects the engine; output is identical at every
-// shard count.
+// analysis. The fabric is partitioned across max(Shards, 1) shards of
+// the parallel engine; output is identical at every shard count.
+// Workloads are planned to the traffic horizon before the run starts,
+// and the buffer sampler and histogram recorder run at window barriers.
 func Run(s Scenario) (Result, *metrics.Collector, error) {
 	r, err := s.Resolve()
 	if err != nil {
@@ -149,104 +151,6 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	}
 	cfg, totalBuffer := r.topoConfig()
 	duration := r.Duration.Time()
-	rate := cfg.LinkRate
-
-	if r.Shards >= 1 {
-		return runSharded(r, cfg, totalBuffer, duration, rate)
-	}
-
-	sess, err := obs.NewSession(r.Obs, 1)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	cfg.Obs = sess
-
-	eng := sim.New(r.Seed)
-	n := topo.NewNetwork(eng, cfg)
-	col := &metrics.Collector{}
-
-	// Fault events are scheduled before anything else so that among ties
-	// at one instant they apply first — the serial equivalent of the
-	// sharded engine's window-barrier cut.
-	for _, ev := range expandFaults(n.G, r.Fabric.LinkFaults) {
-		ev := ev
-		eng.At(ev.At, func() { n.ApplyLinkEvent(ev) })
-	}
-
-	ws, ic, lf, sampler, err := buildWorkloads(n, r, col, totalBuffer)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	rec, err := newHistRecorder(r, sess, col, n)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	// The hybrid controller installs the flow-start hook and its epoch
-	// ticker before any flow launches; LongFlows schedules first so its
-	// flow IDs stay in host order on every engine.
-	var ctl *hybrid.Controller
-	if r.Hybrid.Enabled {
-		ctl = hybrid.New(eng, n, hybrid.Config{
-			GuardBandFrac: r.Hybrid.GuardBandFrac,
-			SteadyRTTs:    r.Hybrid.SteadyRTTs,
-			EpochDt:       r.Hybrid.EpochDt.Time(),
-			Obs:           sess.ShardSink(0),
-		})
-		ctl.Start()
-	}
-	if lf != nil {
-		lf.Schedule()
-	}
-	if ws != nil {
-		ws.Start()
-	}
-	if ic != nil {
-		ic.Start()
-	}
-	sampler.Start(samplerInterval)
-	rec.start(eng, samplerInterval)
-
-	eng.RunUntil(duration)
-	if ws != nil {
-		ws.Stop()
-	}
-	if ic != nil {
-		ic.Stop()
-	}
-	// Drain: let in-flight flows finish (bounded so pathological runs
-	// still terminate).
-	drainEnd := duration + 500*units.Millisecond
-	eng.RunUntil(drainEnd)
-	sampler.Stop()
-	rec.stop()
-	if ctl != nil {
-		// Promote every remaining fluid flow so the final flush below
-		// completes flows in packet mode, like a pure-packet run.
-		ctl.Stop()
-	}
-	n.Stop()
-	eng.Run() // flush canceled tickers
-	rec.finish(drainEnd)
-
-	res := collectResult(r, n, col, rate, eng.Executed())
-	res.Counters = sess.Totals()
-	res.Hists = sess.HistTotals()
-	if ctl != nil {
-		st := ctl.Stats()
-		res.Hybrid = &st
-	}
-	if err := writeObsOutputs(r.Obs, sess, n, rec); err != nil {
-		return Result{}, nil, err
-	}
-	return res, col, nil
-}
-
-// runSharded executes a scenario on the parallel engine: the fabric is
-// partitioned across shards, workloads are pre-generated to the traffic
-// horizon (reproducing the live generators' RNG streams draw-for-draw),
-// and the buffer sampler runs at window barriers.
-func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
-	duration units.Time, rate units.Rate) (Result, *metrics.Collector, error) {
 
 	part := topo.MakePartition(cfg.Graph(), r.Shards)
 	sess, err := obs.NewSession(r.Obs, part.Shards)
@@ -268,7 +172,7 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 		p.AtBarrier(ev.At, func(units.Time) { n.ApplyLinkEvent(ev) })
 	}
 
-	ws, ic, lf, sampler, err := buildWorkloads(n, r, col, totalBuffer)
+	gens, lf, sampler, err := buildWorkloads(n, r, col, totalBuffer)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -276,25 +180,48 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	if err != nil {
 		return Result{}, nil, err
 	}
+	// The hybrid controller (one shard only, see Resolve) installs the
+	// flow-start hook and its epoch ticker before any flow launches.
+	var ctl *hybrid.Controller
+	if r.Hybrid.Enabled {
+		ctl = hybrid.New(p.Shard(0), n, hybrid.Config{
+			GuardBandFrac: r.Hybrid.GuardBandFrac,
+			SteadyRTTs:    r.Hybrid.SteadyRTTs,
+			EpochDt:       r.Hybrid.EpochDt.Time(),
+			Obs:           sess.ShardSink(0),
+		})
+		ctl.Start()
+	}
 	if lf != nil {
 		lf.Schedule()
 	}
-	workload.SchedulePregen(ws, ic, duration)
+	workload.Plan(duration, gens...)
 	sampler.StartBarrier(samplerInterval)
 	rec.startBarrier(p, samplerInterval)
 
 	p.RunUntil(duration)
+	// Drain: let in-flight flows finish (bounded so pathological runs
+	// still terminate).
 	drainEnd := duration + 500*units.Millisecond
 	p.RunUntil(drainEnd)
 	sampler.Stop()
 	rec.stop()
+	if ctl != nil {
+		// Promote every remaining fluid flow so the final drain below
+		// completes flows in packet mode, like a pure-packet run.
+		ctl.Stop()
+	}
 	n.Stop()
 	p.Drain() // run remaining retransmission chains to exhaustion
 	rec.finish(drainEnd)
 
-	res := collectResult(r, n, col, rate, p.Executed())
+	res := collectResult(r, n, col, cfg.LinkRate, p.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()
+	if ctl != nil {
+		st := ctl.Stats()
+		res.Hybrid = &st
+	}
 	if err := writeObsOutputs(r.Obs, sess, n, rec); err != nil {
 		return Result{}, nil, err
 	}
@@ -336,11 +263,11 @@ func expandFaults(g *topo.Graph, faults []LinkFault) []topo.LinkEvent {
 	return evs
 }
 
-// buildWorkloads builds the scenario's generators and the buffer sampler
-// without starting any of them: the serial path Starts the generators
-// live, the sharded path pre-generates their schedules instead.
+// buildWorkloads builds the scenario's generators, begun at time zero
+// (web search first, so it wins arrival ties), the long-flow pattern and
+// the buffer sampler; nothing is planned or started yet.
 func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
-	chip units.ByteCount) (*workload.WebSearch, *workload.Incast, *workload.LongFlows, *workload.BufferSampler, error) {
+	chip units.ByteCount) ([]workload.Generator, *workload.LongFlows, *workload.BufferSampler, error) {
 
 	// Workload randomness is isolated from simulation randomness so every
 	// scheme at the same seed sees identical arrivals.
@@ -348,9 +275,9 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 	qpp := r.Buffer.QueuesPerPort
 	w := r.Workload
 
-	var ws *workload.WebSearch
+	var gens []workload.Generator
 	if w.Load > 0 {
-		ws = &workload.WebSearch{Net: n, Load: w.Load, Collect: col, Seed: r.Seed + 1}
+		ws := &workload.WebSearch{Net: n, Load: w.Load, Collect: col, Seed: r.Seed + 1}
 		if w.Background == "datamining" {
 			ws.Sizes = randutil.DataMining
 		}
@@ -360,7 +287,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 			for i, a := range w.MixedCC {
 				f, err := cc.NewFactory(a.CC)
 				if err != nil {
-					return nil, nil, nil, nil, err
+					return nil, nil, nil, err
 				}
 				factories[i] = f
 			}
@@ -372,7 +299,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 		case w.RandomPrio:
 			f, err := cc.NewFactory(w.CC)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
 			ws.PickCC = func(int) (cc.Factory, uint8) {
 				return f, uint8(rng.Intn(qpp))
@@ -380,23 +307,26 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 		default:
 			f, err := cc.NewFactory(w.CC)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
 			ws.CC = f
 			ws.Prio = w.Prio
 		}
+		if err := ws.Begin(0); err != nil {
+			return nil, nil, nil, err
+		}
+		gens = append(gens, ws)
 	}
 
-	var ic *workload.Incast
 	if w.Incast.RequestFrac > 0 {
 		f, err := cc.NewFactory(w.Incast.CC)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		reqSize := units.ByteCount(w.Incast.RequestFrac * float64(chip))
 		bisection := float64(n.BisectionBits())
 		qps := w.Incast.Load * bisection / float64(reqSize.Bits())
-		ic = &workload.Incast{
+		ic := &workload.Incast{
 			Net:         n,
 			RequestSize: reqSize,
 			Fanout:      w.Incast.Fanout,
@@ -409,13 +339,17 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 		if w.RandomPrio {
 			ic.PickPrio = func() uint8 { return uint8(rng.Intn(qpp)) }
 		}
+		if err := ic.Begin(0); err != nil {
+			return nil, nil, nil, err
+		}
+		gens = append(gens, ic)
 	}
 
 	var lf *workload.LongFlows
 	if w.LongFlows.FlowKB > 0 {
 		f, err := cc.NewFactory(w.LongFlows.CC)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		lf = &workload.LongFlows{
 			Net:     n,
@@ -430,7 +364,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 	}
 
 	sampler := &workload.BufferSampler{Net: n, Collect: col}
-	return ws, ic, lf, sampler, nil
+	return gens, lf, sampler, nil
 }
 
 // collectResult assembles the result from a finished network.

@@ -5,8 +5,8 @@
 // workload mix, shard count, telemetry, duration and seed. Every entry
 // point (the abm root API, internal/experiments cells, the abmsim/
 // figures/sweep CLIs and the examples) compiles down to a Scenario, and
-// one builder constructs the fabric and workloads for both the serial
-// and the topology-sharded engines.
+// one builder constructs the fabric and workloads on the
+// topology-sharded engine at any shard count.
 //
 // A Scenario has exactly one defaults-resolution pass: Resolve returns
 // a fully-explicit spec (goldens pin it) and is idempotent, so a
@@ -72,9 +72,9 @@ type Scenario struct {
 	// Seed drives every random stream of the run (workload arrivals,
 	// per-switch policy randomness, ...) deterministically.
 	Seed int64 `json:"seed"`
-	// Shards selects the engine: 0 is the legacy serial loop; >= 1 runs
-	// the topology-sharded parallel engine with min(Shards, Leaves)
-	// shards. Output is identical at every shard count.
+	// Shards partitions the fabric across min(max(Shards, 1), edge
+	// switches) shards of the parallel engine; 0 means one shard.
+	// Output is identical at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Duration is how long the workload generators offer traffic; the
 	// run then drains in-flight flows (bounded) before summarizing.
@@ -119,8 +119,7 @@ type Fabric struct {
 	LinkDelay Duration `json:"link_delay"`
 	// LinkFaults schedules link failures, recoveries, flaps and rate
 	// degradations at fixed simulation times. Deterministic and
-	// shard-count-invariant: serial runs apply them as calendar events,
-	// sharded runs at window barriers.
+	// shard-count-invariant: they apply at window barriers.
 	LinkFaults []LinkFault `json:"link_faults,omitempty"`
 }
 
@@ -293,8 +292,8 @@ type LongFlows struct {
 // Hybrid configures the fluid/packet hybrid engine; see internal/hybrid
 // for the mode-transition rules these knobs parameterize.
 type Hybrid struct {
-	// Enabled turns the hybrid engine on. Serial engine only: Resolve
-	// rejects Enabled together with Shards >= 1.
+	// Enabled turns the hybrid engine on. One shard only: Resolve
+	// rejects Enabled together with Shards >= 2.
 	Enabled bool `json:"enabled,omitempty"`
 	// GuardBandFrac is the fraction of a queue's admission threshold at
 	// which fluid flows return to packet mode; zero resolves to 0.5.

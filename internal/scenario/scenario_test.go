@@ -231,7 +231,7 @@ func TestResolveRejects(t *testing.T) {
 		"obs filter": {
 			Scenario{Obs: obs.Options{Filter: "bogus-kind"}}, "bogus-kind"},
 		"hybrid with shards": {
-			Scenario{Shards: 2, Hybrid: Hybrid{Enabled: true}}, "serial"},
+			Scenario{Shards: 2, Hybrid: Hybrid{Enabled: true}}, "one shard"},
 		"hybrid guard band over 1": {
 			Scenario{Hybrid: Hybrid{Enabled: true, GuardBandFrac: 1.5}}, "guard_band_frac"},
 		"long-flow count range": {

@@ -23,13 +23,12 @@ import (
 // from the device and hybrid layers; this recorder only adds what needs
 // a global view.
 //
-// Determinism: ticks run at fixed sim times — on the serial engine via
-// a plain ticker, on the parallel engine at window barriers, which
-// observe the same cut (every event before the tick time executed,
-// none after). A finished flow is recorded the first tick strictly
-// after its end time, so the recording tick is a pure function of the
-// flow record and the snapshot series is byte-identical at any shard
-// count.
+// Determinism: ticks run at fixed sim times at the engine's window
+// barriers, where every event before the tick time has executed on
+// every shard and none after. A finished flow is recorded the first
+// tick strictly after its end time, so the recording tick is a pure
+// function of the flow record and the snapshot series is
+// byte-identical at any shard count.
 type histRecorder struct {
 	sess *obs.Session
 	col  *metrics.Collector
@@ -41,7 +40,6 @@ type histRecorder struct {
 	done   []bool // col.Flows[i] already recorded
 	series []byte // NDJSON snapshot lines (HistFile)
 
-	ticker  *sim.Ticker
 	barrier *sim.BarrierTicker
 	live    *liveServer
 }
@@ -79,16 +77,7 @@ func newHistRecorder(r Scenario, sess *obs.Session, col *metrics.Collector,
 	return rec, nil
 }
 
-// start begins ticking on the serial engine.
-func (r *histRecorder) start(eng *sim.Simulator, interval units.Time) {
-	if r == nil {
-		return
-	}
-	r.ticker = eng.NewTicker(interval, func() { r.tick(eng.Now()) })
-}
-
-// startBarrier begins ticking at the parallel engine's window barriers
-// — the same sim-time cut the serial ticker observes.
+// startBarrier begins ticking at the engine's window barriers.
 func (r *histRecorder) startBarrier(p *sim.Parallel, interval units.Time) {
 	if r == nil {
 		return
@@ -98,13 +87,7 @@ func (r *histRecorder) startBarrier(p *sim.Parallel, interval units.Time) {
 
 // stop halts ticking (called before the fabric is torn down).
 func (r *histRecorder) stop() {
-	if r == nil {
-		return
-	}
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
-	if r.barrier != nil {
+	if r != nil && r.barrier != nil {
 		r.barrier.Stop()
 	}
 }

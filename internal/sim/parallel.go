@@ -227,10 +227,7 @@ func (p *Parallel) NewMailbox(dst int, latency units.Time) *Mailbox {
 	if p.look == 0 || latency < p.look {
 		p.look = latency
 	}
-	// Preallocate the batch buffer: it is reused across barriers
-	// (drained with buf[:0]), so seeding a useful capacity up front
-	// removes the early append-growth reallocations every run pays.
-	m := &Mailbox{dst: dst, buf: make([]eventq.Item, 0, 128)}
+	m := &Mailbox{dst: dst}
 	p.boxes = append(p.boxes, m)
 	return m
 }
@@ -507,12 +504,11 @@ func (p *Parallel) RunUntil(deadline units.Time) {
 	p.runWindow(deadline, true)
 }
 
-// Drain runs every shard to calendar exhaustion (the parallel
-// counterpart of Simulator.Run after the workloads stop): windows keep
-// advancing past the frontier with no deadline until no shard holds a
-// live event and no mailbox holds a crossing. Periodic model tickers
-// must be stopped first or Drain will not terminate, exactly like the
-// serial run loop.
+// Drain runs every shard to calendar exhaustion (the counterpart of
+// Simulator.Run after the workloads stop): windows keep advancing past
+// the frontier with no deadline until no shard holds a live event and
+// no mailbox holds a crossing. Periodic model tickers must be stopped
+// first or Drain will not terminate.
 func (p *Parallel) Drain() {
 	for {
 		p.flush()

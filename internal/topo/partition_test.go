@@ -139,10 +139,11 @@ func TestShardedNetworkShardInvariance(t *testing.T) {
 }
 
 // TestShardedSingleFlowMatchesSerial checks the engine against the
-// legacy serial loop on a lone flow. With no competing traffic there
-// are no same-picosecond event ties, so the two run modes must agree
-// to the picosecond (contended runs may reorder exact ties; the
-// engine's own output is tie-canonical and shard-invariant instead).
+// direct-link reference build (NewNetwork on one simulator) on a lone
+// flow. With no competing traffic there are no same-picosecond event
+// ties, so the two builds must agree to the picosecond (contended runs
+// may reorder exact ties; the engine's own output is tie-canonical and
+// shard-invariant instead).
 func TestShardedSingleFlowMatchesSerial(t *testing.T) {
 	cfg := Config{
 		NumSpines:    2,

@@ -69,7 +69,7 @@ type Config struct {
 
 	// Obs is the run's telemetry session; nil disables telemetry. Each
 	// switch and host receives the sink of its shard (the session must be
-	// created with the partition's shard count; serial mode uses shard 0).
+	// created with the partition's shard count).
 	Obs *obs.Session
 }
 
@@ -177,11 +177,12 @@ func MakePartition(g *Graph, shards int) Partition {
 	return p
 }
 
-// Network is a built fabric, driven either by one serial simulator
-// (Sim) or by the sharded parallel engine (Par); exactly one is set.
+// Network is a built fabric, driven by the parallel engine (Par). The
+// direct-link reference build (NewNetwork) sets Sim instead; exactly one
+// is set.
 type Network struct {
-	Sim  *sim.Simulator // serial mode; nil when sharded
-	Par  *sim.Parallel  // sharded mode; nil when serial
+	Sim  *sim.Simulator // reference build only; nil on the engine
+	Par  *sim.Parallel  // the engine; nil in the reference build
 	Part Partition
 	Cfg  Config
 	G    *Graph
@@ -208,8 +209,8 @@ type Network struct {
 	// OnFlowStart, when set, observes every flow launch just before its
 	// first packet is emitted (hybrid engine: a new burst at a shared
 	// queue promotes fluid flows back to packet mode before the burst's
-	// packets can race them). It runs on the source host's shard, so a
-	// sharded run must only install it when the engine is serial.
+	// packets can race them). It runs on the source host's shard, so it
+	// may only be installed on a one-shard engine.
 	OnFlowStart func(id uint64, src, dst int, size units.ByteCount, prio uint8)
 }
 
@@ -236,7 +237,9 @@ func NodeName(id packet.NodeID) string {
 // rows.
 func (n *Network) NodeName(id packet.NodeID) string { return n.G.NodeNameOf(id) }
 
-// NewNetwork builds and wires the fabric on a single serial simulator.
+// NewNetwork builds and wires the fabric on a single simulator with
+// direct switch<->switch links. It is the reference the engine build
+// (NewShardedNetwork) is tested against; runs use the engine.
 func NewNetwork(s *sim.Simulator, cfg Config) *Network {
 	cfg.fillDefaults()
 	n := &Network{Sim: s, Cfg: cfg, G: cfg.Topo}
@@ -249,8 +252,8 @@ func NewNetwork(s *sim.Simulator, cfg Config) *Network {
 	return n
 }
 
-// NewShardedNetwork builds the same fabric across the shards of a
-// parallel engine: each switch (and each host, via its edge switch)
+// NewShardedNetwork builds the fabric across the shards of a parallel
+// engine: each switch (and each host, via its edge switch)
 // schedules on its shard's simulator, and every switch<->switch link
 // routes through an engine mailbox — including same-shard tier links,
 // so the barrier merge order is a property of the topology alone and
@@ -274,16 +277,16 @@ func NewShardedNetwork(p *sim.Parallel, cfg Config, part Partition) *Network {
 }
 
 // switchRNG derives the switch's private random stream from the base
-// seed and its node ID — the same stream in serial and sharded mode,
-// regardless of partition or event interleaving.
+// seed and its node ID — the same stream in every build, regardless of
+// partition or event interleaving.
 func switchRNG(baseSeed int64, id int) *rand.Rand {
 	return rand.New(rand.NewSource(randutil.DeriveSeed(baseSeed, id)))
 }
 
-// tierLink creates one switch<->switch link: direct in serial mode,
-// mailbox-routed in sharded mode. Mailboxes register in call order,
-// which build keeps partition-invariant (the canonical Graph.Links
-// order).
+// tierLink creates one switch<->switch link: mailbox-routed on the
+// engine, direct in the reference build. Mailboxes register in call
+// order, which build keeps partition-invariant (the canonical
+// Graph.Links order).
 func (n *Network) tierLink(src *sim.Simulator, dst device.Endpoint, dstShard int) *device.Link {
 	if n.Par == nil {
 		return device.NewLink(src, n.Cfg.LinkDelay, dst)
@@ -449,8 +452,8 @@ func (n *Network) Hops(src, dst int) int {
 	return 2 + int(n.rt.groupDist[b][a])
 }
 
-// SimOfHost returns the simulator host h's events must schedule on (the
-// serial simulator, or in sharded mode its edge switch's shard).
+// SimOfHost returns the simulator host h's events must schedule on: its
+// edge switch's shard.
 func (n *Network) SimOfHost(h int) *sim.Simulator { return n.swSim[n.GroupOf(h)] }
 
 // ShardOfHost returns host h's shard index.
@@ -544,8 +547,7 @@ func (n *Network) PathQueues(flowID uint64, src, dst int, buf []PathHop) []PathH
 
 // WorstBufferFrac returns the worst shared-buffer occupancy fraction
 // across all switches, the fabric-wide statistic the buffer sampler
-// records. Callers must hold the fabric quiescent (serial execution or
-// a window barrier).
+// records. Callers must hold the fabric quiescent (a window barrier).
 func (n *Network) WorstBufferFrac() float64 {
 	worst := 0.0
 	for _, sw := range n.switches {

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -16,6 +17,58 @@ import (
 	"abm/internal/topo"
 	"abm/internal/units"
 )
+
+// Generator is one planned arrival process (WebSearch or Incast): a
+// Poisson clock over a private random stream. Plan launches the
+// arrivals of any number of generators in merged time order.
+type Generator interface {
+	// nextArrival returns the time of the drawn-but-unlaunched next
+	// arrival; ok is false before Begin and after Stop.
+	nextArrival() (t units.Time, ok bool)
+	// launchNext launches that arrival and draws the one after it.
+	launchNext()
+}
+
+// Plan launches, in arrival order, every arrival of gens due at or
+// before horizon — the inclusive bound Parallel.RunUntil executes to —
+// that an earlier call has not launched: collector rows and flow IDs
+// are allocated here, in that merged order, and each flow's start is
+// scheduled on its source host's shard. Exact ties go to the generator
+// listed first. Call it with growing horizons to extend the schedule
+// run by run; the streams continue draw-for-draw, so planning in steps
+// or all at once yields the same arrivals.
+func Plan(horizon units.Time, gens ...Generator) {
+	for {
+		var first Generator
+		var at units.Time
+		for _, g := range gens {
+			if t, ok := g.nextArrival(); ok && t <= horizon && (first == nil || t < at) {
+				first, at = g, t
+			}
+		}
+		if first == nil {
+			return
+		}
+		first.launchNext()
+	}
+}
+
+// poisson is a Poisson arrival clock: at holds the next arrival, drawn
+// from rng but not yet launched.
+type poisson struct {
+	rng  *rand.Rand
+	mean units.Time
+	at   units.Time
+}
+
+func (p *poisson) begin(seed int64, from, mean units.Time) {
+	p.rng = rand.New(rand.NewSource(seed))
+	p.mean = mean
+	p.at = from
+	p.draw()
+}
+
+func (p *poisson) draw() { p.at += randutil.Exponential(p.rng, p.mean) }
 
 // WebSearch drives the background workload: flows arrive as a global
 // Poisson process with rate chosen so the expected inter-rack offered
@@ -39,29 +92,33 @@ type WebSearch struct {
 	// see identical arrival patterns. Zero derives a fixed default.
 	Seed int64
 
-	rng     *rand.Rand
+	clock   poisson
 	started int
 	stopped bool
 }
 
-// Start begins generating flows until Stop. It panics on a non-positive
-// load.
-func (w *WebSearch) Start() {
-	if w.Load <= 0 || w.Load > 1 {
-		panic(fmt.Sprintf("workload: load %v out of (0,1]", w.Load))
+// Begin validates the generator and starts its arrival clock at time
+// from: the first arrival falls one exponential gap later. Plan then
+// launches the arrivals.
+func (w *WebSearch) Begin(from units.Time) error {
+	if !(w.Load > 0 && w.Load <= 1) {
+		return fmt.Errorf("workload: load %v out of (0,1]", w.Load)
+	}
+	if w.CC == nil && w.PickCC == nil {
+		return errors.New("workload: web search needs a cc factory")
+	}
+	if w.Net.G.NumGroups() < 2 {
+		return errors.New("workload: web search load is defined across racks; the fabric has one")
 	}
 	if w.Sizes == nil {
 		w.Sizes = randutil.WebSearch
-	}
-	if w.CC == nil && w.PickCC == nil {
-		panic("workload: WebSearch needs a cc factory")
 	}
 	seed := w.Seed
 	if seed == 0 {
 		seed = 0x5eed_ab1e
 	}
-	w.rng = rand.New(rand.NewSource(seed))
-	w.scheduleNext()
+	w.clock.begin(seed, from, w.interArrival())
+	return nil
 }
 
 // interArrival returns the mean gap between flow arrivals for the target
@@ -79,22 +136,12 @@ func (w *WebSearch) interArrival() units.Time {
 	return units.Time(float64(units.Second) / flowsPerSec)
 }
 
-func (w *WebSearch) scheduleNext() {
-	if w.stopped {
-		return
-	}
-	gap := randutil.Exponential(w.rng, w.interArrival())
-	w.Net.Sim.After(gap, func() {
-		if w.stopped {
-			return
-		}
-		w.launch()
-		w.scheduleNext()
-	})
+func (w *WebSearch) nextArrival() (units.Time, bool) {
+	return w.clock.at, w.clock.rng != nil && !w.stopped
 }
 
-func (w *WebSearch) launch() {
-	rng := w.rng
+func (w *WebSearch) launchNext() {
+	rng := w.clock.rng
 	n := w.Net.NumHosts()
 	src := rng.Intn(n)
 	dst := rng.Intn(n - 1)
@@ -107,87 +154,15 @@ func (w *WebSearch) launch() {
 		factory, prio = w.PickCC(w.started)
 	}
 	w.started++
-	w.record(src, dst, size, prio, factory(), metrics.ClassWebSearch)
-}
-
-func (w *WebSearch) record(src, dst int, size units.ByteCount, prio uint8,
-	algo cc.Algorithm, class metrics.FlowClass) {
-	start := w.Net.Sim.Now()
-	rec := metrics.FlowRecord{
-		Class: class,
-		Prio:  prio,
-		Size:  size,
-		Start: start,
-		Ideal: w.Net.IdealFCT(src, dst, size),
-	}
-	idx := -1
-	if w.Collect != nil {
-		w.Collect.AddFlow(rec)
-		idx = len(w.Collect.Flows) - 1
-	}
-	id := w.Net.StartFlow(src, dst, size, prio, algo, func(now units.Time) {
-		if idx >= 0 {
-			w.Collect.Flows[idx].End = now
-			w.Collect.Flows[idx].Finished = true
-		}
-	})
-	if idx >= 0 {
-		w.Collect.Flows[idx].ID = id
-	}
+	launch(w.Net, w.Collect, w.clock.at, src, dst, size, prio, factory(), metrics.ClassWebSearch)
+	w.clock.draw()
 }
 
 // Started returns the number of flows launched so far.
 func (w *WebSearch) Started() int { return w.started }
 
-// genWS is one pre-generated web-search arrival (PickCC not yet
-// resolved: the shared experiment RNG must be drawn in merged arrival
-// order, see SchedulePregen).
-type genWS struct {
-	t        units.Time
-	src, dst int
-	size     units.ByteCount
-	idx      int // flow index passed to PickCC
-}
-
-// generate replays Start/scheduleNext/launch draw-for-draw against the
-// workload's private RNG, producing every arrival with time <= horizon
-// (the same inclusive bound RunUntil(duration) gives the live
-// generator) without touching any simulator.
-func (w *WebSearch) generate(horizon units.Time) []genWS {
-	if w.Load <= 0 || w.Load > 1 {
-		panic(fmt.Sprintf("workload: load %v out of (0,1]", w.Load))
-	}
-	if w.Sizes == nil {
-		w.Sizes = randutil.WebSearch
-	}
-	if w.CC == nil && w.PickCC == nil {
-		panic("workload: WebSearch needs a cc factory")
-	}
-	seed := w.Seed
-	if seed == 0 {
-		seed = 0x5eed_ab1e
-	}
-	rng := rand.New(rand.NewSource(seed))
-	mean := w.interArrival()
-	n := w.Net.NumHosts()
-	var out []genWS
-	t := units.Time(0)
-	for {
-		t += randutil.Exponential(rng, mean)
-		if t > horizon {
-			return out
-		}
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
-		size := w.Sizes.SampleBytes(rng)
-		out = append(out, genWS{t: t, src: src, dst: dst, size: size, idx: len(out)})
-	}
-}
-
-// Stop halts flow generation (flows in flight keep running).
+// Stop ends the arrival process: Plan launches nothing more (flows
+// already planned keep running).
 func (w *WebSearch) Stop() { w.stopped = true }
 
 // Incast drives the query/response workload: queries arrive as a Poisson
@@ -198,7 +173,7 @@ func (w *WebSearch) Stop() { w.stopped = true }
 type Incast struct {
 	Net         *topo.Network
 	RequestSize units.ByteCount // total bytes fanned in per query
-	Fanout      int             // responding servers per query
+	Fanout      int             // responding servers per query (0 = 8)
 	QueryRate   float64         // queries per second across the fabric
 	Prio        uint8
 	CC          cc.Factory
@@ -211,50 +186,44 @@ type Incast struct {
 	// Seed isolates the workload's randomness; zero derives a default.
 	Seed int64
 
-	rng     *rand.Rand
+	clock   poisson
 	queries int
 	stopped bool
 }
 
-// Start begins generating queries until Stop.
-func (ic *Incast) Start() {
-	if ic.Fanout <= 0 {
+// Begin validates the generator and starts its query clock at time
+// from; see WebSearch.Begin.
+func (ic *Incast) Begin(from units.Time) error {
+	mean := units.Time(float64(units.Second) / ic.QueryRate)
+	switch {
+	case ic.Fanout < 0:
+		return fmt.Errorf("workload: incast fanout %d is negative", ic.Fanout)
+	case ic.RequestSize <= 0:
+		return fmt.Errorf("workload: incast request size %v must be positive", ic.RequestSize)
+	case !(ic.QueryRate > 0) || mean <= 0:
+		return fmt.Errorf("workload: incast query rate %v out of range", ic.QueryRate)
+	case ic.CC == nil:
+		return errors.New("workload: incast needs a cc factory")
+	case ic.Net.G.NumGroups() < 2:
+		return errors.New("workload: incast responders come from other racks; the fabric has one")
+	}
+	if ic.Fanout == 0 {
 		ic.Fanout = 8
-	}
-	if ic.RequestSize <= 0 {
-		panic("workload: incast needs a request size")
-	}
-	if ic.QueryRate <= 0 {
-		panic("workload: incast needs a query rate")
-	}
-	if ic.CC == nil {
-		panic("workload: incast needs a cc factory")
 	}
 	seed := ic.Seed
 	if seed == 0 {
 		seed = 0x1ca57
 	}
-	ic.rng = rand.New(rand.NewSource(seed))
-	ic.scheduleNext()
+	ic.clock.begin(seed, from, mean)
+	return nil
 }
 
-func (ic *Incast) scheduleNext() {
-	if ic.stopped {
-		return
-	}
-	mean := units.Time(float64(units.Second) / ic.QueryRate)
-	gap := randutil.Exponential(ic.rng, mean)
-	ic.Net.Sim.After(gap, func() {
-		if ic.stopped {
-			return
-		}
-		ic.launchQuery()
-		ic.scheduleNext()
-	})
+func (ic *Incast) nextArrival() (units.Time, bool) {
+	return ic.clock.at, ic.clock.rng != nil && !ic.stopped
 }
 
-func (ic *Incast) launchQuery() {
-	rng := ic.rng
+func (ic *Incast) launchNext() {
+	rng := ic.clock.rng
 	n := ic.Net.NumHosts()
 	requester := rng.Intn(n)
 	reqGroup := ic.Net.GroupOf(requester)
@@ -266,132 +235,35 @@ func (ic *Incast) launchQuery() {
 			candidates = append(candidates, h)
 		}
 	}
-	fanout := ic.Fanout
-	if fanout > len(candidates) {
-		fanout = len(candidates)
-	}
+	fanout := min(ic.Fanout, len(candidates))
 	rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	per := ic.RequestSize / units.ByteCount(fanout)
-	if per < 1 {
-		per = 1
-	}
+	per := max(ic.RequestSize/units.ByteCount(fanout), 1)
 	ic.queries++
 	for _, responder := range candidates[:fanout] {
-		ic.recordFlow(responder, requester, per)
-	}
-}
-
-func (ic *Incast) recordFlow(src, dst int, size units.ByteCount) {
-	start := ic.Net.Sim.Now()
-	prio := ic.Prio
-	if ic.PickPrio != nil {
-		prio = ic.PickPrio()
-	}
-	rec := metrics.FlowRecord{
-		Class: metrics.ClassIncast,
-		Prio:  prio,
-		Size:  size,
-		Start: start,
-		Ideal: ic.Net.IdealFCT(src, dst, size),
-	}
-	idx := -1
-	if ic.Collect != nil {
-		ic.Collect.AddFlow(rec)
-		idx = len(ic.Collect.Flows) - 1
-	}
-	id := ic.Net.StartFlow(src, dst, size, prio, ic.CC(), func(now units.Time) {
-		if idx >= 0 {
-			ic.Collect.Flows[idx].End = now
-			ic.Collect.Flows[idx].Finished = true
+		prio := ic.Prio
+		if ic.PickPrio != nil {
+			prio = ic.PickPrio()
 		}
-	})
-	if idx >= 0 {
-		ic.Collect.Flows[idx].ID = id
+		launch(ic.Net, ic.Collect, ic.clock.at, responder, requester, per, prio, ic.CC(), metrics.ClassIncast)
 	}
+	ic.clock.draw()
 }
 
 // Queries returns the number of queries issued.
 func (ic *Incast) Queries() int { return ic.queries }
 
-// genQuery is one pre-generated incast query: all of its response
-// flows share the arrival time (PickPrio resolved later, in merged
-// order).
-type genQuery struct {
-	t     units.Time
-	flows []genFlow
-}
+// Stop ends the query process; see WebSearch.Stop.
+func (ic *Incast) Stop() { ic.stopped = true }
 
-type genFlow struct {
-	src, dst int
-	size     units.ByteCount
-}
-
-// generate replays the live incast generator draw-for-draw up to the
-// horizon (inclusive); see WebSearch.generate.
-func (ic *Incast) generate(horizon units.Time) []genQuery {
-	if ic.Fanout <= 0 {
-		ic.Fanout = 8
-	}
-	if ic.RequestSize <= 0 {
-		panic("workload: incast needs a request size")
-	}
-	if ic.QueryRate <= 0 {
-		panic("workload: incast needs a query rate")
-	}
-	if ic.CC == nil {
-		panic("workload: incast needs a cc factory")
-	}
-	seed := ic.Seed
-	if seed == 0 {
-		seed = 0x1ca57
-	}
-	rng := rand.New(rand.NewSource(seed))
-	mean := units.Time(float64(units.Second) / ic.QueryRate)
-	n := ic.Net.NumHosts()
-	var out []genQuery
-	t := units.Time(0)
-	for {
-		t += randutil.Exponential(rng, mean)
-		if t > horizon {
-			return out
-		}
-		requester := rng.Intn(n)
-		reqGroup := ic.Net.GroupOf(requester)
-		var candidates []int
-		for h := 0; h < n; h++ {
-			if ic.Net.GroupOf(h) != reqGroup {
-				candidates = append(candidates, h)
-			}
-		}
-		fanout := ic.Fanout
-		if fanout > len(candidates) {
-			fanout = len(candidates)
-		}
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		per := ic.RequestSize / units.ByteCount(fanout)
-		if per < 1 {
-			per = 1
-		}
-		q := genQuery{t: t}
-		for _, responder := range candidates[:fanout] {
-			q.flows = append(q.flows, genFlow{src: responder, dst: requester, size: per})
-		}
-		out = append(out, q)
-	}
-}
-
-// pregenLaunch records one pre-generated flow and schedules its launch
-// on the source host's shard. It mirrors the live record path exactly:
-// the collector row is appended (and the flow ID allocated) at planning
-// time in arrival order, so collector layout and flow IDs match a
-// serial live run; only the End/Finished fields are written during the
+// launch records one flow and schedules its start at time t on the
+// source host's shard. The collector row is appended (and the flow ID
+// allocated) at planning time, so collector layout and flow IDs follow
+// planning order; only the End/Finished fields are written during the
 // run, each by the flow's own completion callback into its private row
 // — safe under shard concurrency.
-func pregenLaunch(net *topo.Network, col *metrics.Collector, t units.Time,
+func launch(net *topo.Network, col *metrics.Collector, t units.Time,
 	src, dst int, size units.ByteCount, prio uint8, algo cc.Algorithm, class metrics.FlowClass) {
 	rec := metrics.FlowRecord{
 		Class: class,
@@ -420,58 +292,12 @@ func pregenLaunch(net *topo.Network, col *metrics.Collector, t units.Time,
 	})
 }
 
-// SchedulePregen pre-generates both workloads up to the horizon and
-// schedules every flow launch on its source host's simulator. It is the
-// sharded-run replacement for Start/Stop: generators draw from their
-// private streams exactly as the live path does, and the shared
-// experiment RNG behind PickCC/PickPrio is drawn in merged arrival
-// order (web-search first on exact ties), reproducing the serial
-// interleaving. Either workload may be nil.
-func SchedulePregen(ws *WebSearch, ic *Incast, horizon units.Time) {
-	var wsArr []genWS
-	var icArr []genQuery
-	if ws != nil {
-		wsArr = ws.generate(horizon)
-	}
-	if ic != nil {
-		icArr = ic.generate(horizon)
-	}
-	i, j := 0, 0
-	for i < len(wsArr) || j < len(icArr) {
-		if i < len(wsArr) && (j >= len(icArr) || wsArr[i].t <= icArr[j].t) {
-			a := wsArr[i]
-			i++
-			factory, prio := ws.CC, ws.Prio
-			if ws.PickCC != nil {
-				factory, prio = ws.PickCC(a.idx)
-			}
-			ws.started++
-			pregenLaunch(ws.Net, ws.Collect, a.t, a.src, a.dst, a.size, prio, factory(), metrics.ClassWebSearch)
-		} else {
-			q := icArr[j]
-			j++
-			ic.queries++
-			for _, f := range q.flows {
-				prio := ic.Prio
-				if ic.PickPrio != nil {
-					prio = ic.PickPrio()
-				}
-				pregenLaunch(ic.Net, ic.Collect, q.t, f.src, f.dst, f.size, prio, ic.CC(), metrics.ClassIncast)
-			}
-		}
-	}
-}
-
-// Stop halts query generation.
-func (ic *Incast) Stop() { ic.stopped = true }
-
 // LongFlows drives the steady long-flow workload: host i opens one flow
 // of Size bytes to host (i+Stride) mod N at time i*Stagger — a full
 // permutation pattern whose flows all converge to steady state (the
 // hybrid engine's demotion showcase). The pattern is deterministic (no
-// RNG), so one Schedule path serves both the serial and the sharded
-// engines: launches are planned up front on each source host's
-// simulator, with flow IDs allocated in host order.
+// RNG), so launches are planned up front on each source host's shard,
+// with flow IDs allocated in host order.
 type LongFlows struct {
 	Net     *topo.Network
 	Size    units.ByteCount
@@ -507,7 +333,7 @@ func (lf *LongFlows) Schedule() {
 			continue
 		}
 		t := units.Time(src) * lf.Stagger
-		pregenLaunch(lf.Net, lf.Collect, t, src, dst, lf.Size, lf.Prio, lf.CC(), metrics.ClassLong)
+		launch(lf.Net, lf.Collect, t, src, dst, lf.Size, lf.Prio, lf.CC(), metrics.ClassLong)
 		lf.started++
 	}
 }
@@ -516,27 +342,17 @@ func (lf *LongFlows) Schedule() {
 func (lf *LongFlows) Started() int { return lf.started }
 
 // BufferSampler periodically records the fabric's worst-switch occupancy
-// fraction into the collector. It reads every switch, so in sharded
-// mode it must run at window barriers (StartBarrier), where the whole
-// fabric is quiescent.
+// fraction into the collector. It reads every switch, so it runs at the
+// engine's window barriers, where the whole fabric is quiescent.
 type BufferSampler struct {
 	Net     *topo.Network
 	Collect *metrics.Collector
-	ticker  *sim.Ticker
 	barrier *sim.BarrierTicker
 }
 
-// Start samples every interval on the serial simulator until Stop.
-func (b *BufferSampler) Start(interval units.Time) {
-	b.ticker = b.Net.Sim.NewTicker(interval, func() {
-		b.Collect.SampleBuffer(b.Net.WorstBufferFrac())
-	})
-}
-
-// StartBarrier samples every interval of simulated time at the parallel
+// StartBarrier samples every interval of simulated time at the
 // engine's window barriers: each sample sees every event before its due
-// time executed on every shard and none after — the same cut a serial
-// ticker observes.
+// time executed on every shard and none after.
 func (b *BufferSampler) StartBarrier(interval units.Time) {
 	b.barrier = b.Net.Par.NewBarrierTicker(interval, func(units.Time) {
 		b.Collect.SampleBuffer(b.Net.WorstBufferFrac())
@@ -545,9 +361,6 @@ func (b *BufferSampler) StartBarrier(interval units.Time) {
 
 // Stop halts sampling.
 func (b *BufferSampler) Stop() {
-	if b.ticker != nil {
-		b.ticker.Stop()
-	}
 	if b.barrier != nil {
 		b.barrier.Stop()
 	}

@@ -11,26 +11,42 @@ import (
 	"abm/internal/units"
 )
 
-func testNet(seed int64) (*sim.Simulator, *topo.Network) {
-	s := sim.New(seed)
-	n := topo.NewNetwork(s, topo.Config{
+// testNet builds a 2x2x4 fabric on a one-shard engine.
+func testNet(seed int64) (*sim.Parallel, *topo.Network) {
+	p := sim.NewParallel(seed, 1)
+	cfg := topo.Config{
 		NumSpines:    2,
 		NumLeaves:    2,
 		HostsPerLeaf: 4,
 		LinkRate:     10 * units.GigabitPerSec,
 		LinkDelay:    10 * units.Microsecond,
-	})
-	return s, n
+	}
+	return p, topo.NewShardedNetwork(p, cfg, topo.MakePartition(cfg.Graph(), 1))
+}
+
+// begin starts every generator's clock at time zero.
+func begin(t *testing.T, gens ...interface{ Begin(units.Time) error }) {
+	t.Helper()
+	for _, g := range gens {
+		if err := g.Begin(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runTo plans the generators' arrivals up to horizon and runs there.
+func runTo(p *sim.Parallel, horizon units.Time, gens ...Generator) {
+	Plan(horizon, gens...)
+	p.RunUntil(horizon)
 }
 
 func TestWebSearchOfferedLoad(t *testing.T) {
 	s, n := testNet(5)
 	col := &metrics.Collector{}
 	w := &WebSearch{Net: n, Load: 0.4, CC: func() cc.Algorithm { return cc.NewDCTCP() }, Collect: col}
-	w.Start()
+	begin(t, w)
 	dur := 100 * units.Millisecond
-	s.RunUntil(dur)
-	w.Stop()
+	runTo(s, dur, w)
 	n.Stop()
 
 	// Offered inter-rack bytes / time should be ~40% of the bisection
@@ -59,9 +75,8 @@ func TestWebSearchFlowsComplete(t *testing.T) {
 	s, n := testNet(6)
 	col := &metrics.Collector{}
 	w := &WebSearch{Net: n, Load: 0.2, CC: func() cc.Algorithm { return cc.NewDCTCP() }, Collect: col}
-	w.Start()
-	s.RunUntil(50 * units.Millisecond)
-	w.Stop()
+	begin(t, w)
+	runTo(s, 50*units.Millisecond, w)
 	s.RunUntil(2 * units.Second) // drain
 	n.Stop()
 	if col.FinishedCount() == 0 {
@@ -82,14 +97,9 @@ func TestWebSearchValidation(t *testing.T) {
 		{Net: n, Load: 1.5, CC: func() cc.Algorithm { return cc.NewReno() }},
 		{Net: n, Load: 0.4}, // no CC
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for %+v", w)
-				}
-			}()
-			w.Start()
-		}()
+		if err := w.Begin(0); err == nil {
+			t.Errorf("expected an error for %+v", w)
+		}
 	}
 }
 
@@ -105,9 +115,8 @@ func TestWebSearchPickCC(t *testing.T) {
 			return func() cc.Algorithm { return cc.NewDCTCP() }, 1
 		},
 	}
-	w.Start()
-	s.RunUntil(30 * units.Millisecond)
-	w.Stop()
+	begin(t, w)
+	runTo(s, 30*units.Millisecond, w)
 	n.Stop()
 	var p0, p1 int
 	for _, f := range col.Flows {
@@ -133,9 +142,8 @@ func TestIncastFanInDifferentRack(t *testing.T) {
 		CC:          func() cc.Algorithm { return cc.NewReno() },
 		Collect:     col,
 	}
-	ic.Start()
-	s.RunUntil(50 * units.Millisecond)
-	ic.Stop()
+	begin(t, ic)
+	runTo(s, 50*units.Millisecond, ic)
 	s.RunUntil(2 * units.Second)
 	n.Stop()
 	if ic.Queries() == 0 {
@@ -169,9 +177,8 @@ func TestIncastFanoutCappedByCandidates(t *testing.T) {
 		CC:          func() cc.Algorithm { return cc.NewReno() },
 		Collect:     &metrics.Collector{},
 	}
-	ic.Start()
-	s.RunUntil(30 * units.Millisecond)
-	ic.Stop()
+	begin(t, ic)
+	runTo(s, 30*units.Millisecond, ic)
 	s.RunUntil(time500ms())
 	n.Stop()
 	if ic.Queries() == 0 {
@@ -188,19 +195,16 @@ func time500ms() units.Time { return 500 * units.Millisecond }
 func TestIncastValidation(t *testing.T) {
 	_, n := testNet(1)
 	defer n.Stop()
+	reno := func() cc.Algorithm { return cc.NewReno() }
 	for _, ic := range []*Incast{
-		{Net: n, Fanout: 4, QueryRate: 1, CC: func() cc.Algorithm { return cc.NewReno() }},      // no size
-		{Net: n, RequestSize: 1000, Fanout: 4, CC: func() cc.Algorithm { return cc.NewReno() }}, // no rate
-		{Net: n, RequestSize: 1000, Fanout: 4, QueryRate: 1},                                    // no cc
+		{Net: n, Fanout: 4, QueryRate: 1, CC: reno},                     // no size
+		{Net: n, RequestSize: 1000, Fanout: 4, CC: reno},                // no rate
+		{Net: n, RequestSize: 1000, Fanout: 4, QueryRate: 1},            // no cc
+		{Net: n, RequestSize: 1000, Fanout: -1, QueryRate: 1, CC: reno}, // negative fanout
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for %+v", ic)
-				}
-			}()
-			ic.Start()
-		}()
+		if err := ic.Begin(0); err == nil {
+			t.Errorf("expected an error for %+v", ic)
+		}
 	}
 }
 
@@ -208,11 +212,10 @@ func TestBufferSampler(t *testing.T) {
 	s, n := testNet(10)
 	col := &metrics.Collector{}
 	bs := &BufferSampler{Net: n, Collect: col}
-	bs.Start(units.Millisecond)
+	bs.StartBarrier(units.Millisecond)
 	w := &WebSearch{Net: n, Load: 0.5, CC: func() cc.Algorithm { return cc.NewCubic() }, Collect: col}
-	w.Start()
-	s.RunUntil(20 * units.Millisecond)
-	w.Stop()
+	begin(t, w)
+	runTo(s, 20*units.Millisecond, w)
 	bs.Stop()
 	n.Stop()
 	if len(col.BufferSamples) < 15 {
@@ -238,9 +241,8 @@ func TestIncastPickPrio(t *testing.T) {
 		Collect:     col,
 		PickPrio:    func() uint8 { next = (next + 1) % 2; return next },
 	}
-	ic.Start()
-	s.RunUntil(20 * units.Millisecond)
-	ic.Stop()
+	begin(t, ic)
+	runTo(s, 20*units.Millisecond, ic)
 	n.Stop()
 	var p0, p1 int
 	for _, f := range col.Flows {
@@ -263,9 +265,8 @@ func TestWorkloadSeedIsolation(t *testing.T) {
 		col := &metrics.Collector{}
 		w := &WebSearch{Net: n, Load: 0.3, CC: func() cc.Algorithm { return cc.NewReno() },
 			Collect: col, Seed: 777}
-		w.Start()
-		s.RunUntil(10 * units.Millisecond)
-		w.Stop()
+		begin(t, w)
+		runTo(s, 10*units.Millisecond, w)
 		n.Stop()
 		out := make([]units.ByteCount, len(col.Flows))
 		for i, f := range col.Flows {

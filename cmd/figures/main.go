@@ -3,8 +3,10 @@
 // extras), written to stdout or a directory. Execution rides on
 // internal/runner: figures are jobs on a worker pool with panic
 // isolation and progress reporting, and with -out every simulated cell
-// additionally lands as one JSON record under <out>/jobs/ with a
-// manifest (the runner Store schema shared with cmd/sweep).
+// additionally lands as one record in <out>/records.log — the
+// runner.Store log sweepd writes too, so `sweepd status -out <out>`
+// summarizes a figures run. A re-run into the same -out reuses every
+// cell whose stored record matches its seed and configuration.
 //
 // Profiling: -cpuprofile, -memprofile and -trace capture the run for
 // performance work on the simulator core (see DESIGN.md, "Event engine
@@ -44,7 +46,7 @@ func run() int {
 		out     = flag.String("out", "", "output directory (default: stdout, figures sequential)")
 		workers = flag.Int("workers", runtime.NumCPU(), "parallel figure workers (with -out)")
 		shards  = flag.Int("shards", 0, "simulation shards per cell (0 = 1; clamped to the fabric's leaf count; output is identical at every count)")
-		noJSON  = flag.Bool("no-json", false, "with -out, skip the per-cell JSON record store")
+		noJSON  = flag.Bool("no-json", false, "with -out, skip the per-cell record log")
 		scn     = flag.String("scenario", "", "overlay this scenario file's fabric shape (dimensions, link rates, delay) onto every cell; -scale still picks durations")
 		pf      prof.Flags
 		of      obs.Flags
@@ -112,12 +114,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		defer store.Close()
 	}
 
 	// One pool job per figure; each figure's cells run on its own inner
 	// pool with one worker, so total parallelism stays at -workers and
-	// per-cell JSON records land in the shared store as they complete.
+	// per-cell records land in the shared store as they complete.
 	plan := &runner.Plan{Name: "figures"}
 	for _, id := range ids {
 		id := id
@@ -144,6 +145,12 @@ func run() int {
 	// pool caps figure-level parallelism accordingly.
 	pool := &runner.Pool{Workers: *workers, JobShards: *shards, Progress: os.Stderr}
 	records, err := pool.Run(context.Background(), plan)
+	if store != nil {
+		// Close makes the last batch of records durable.
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

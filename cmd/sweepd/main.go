@@ -1,40 +1,49 @@
-// Command sweepd is the distributed sweep service: a coordinator that
-// owns one sweep's job table and leases jobs to workers over HTTP+JSON
-// on a trusted loopback/LAN segment.
+// Command sweepd is the sweep front end: a coordinator that owns one
+// sweep's job table and runs it on in-process workers, on remote
+// workers that connect over HTTP+JSON on a trusted loopback/LAN
+// segment, or on both.
 //
-// The coordinator expands the same grid cmd/sweep runs (flags or a
-// JSON plan file), hands out time-bounded job leases, re-leases jobs
-// whose workers miss heartbeats, persists every record to a durable
-// append-only log (crash-safe, resumable), and — when -ci-target is
-// set — keeps adding seed replications to a cell until the bootstrap
-// confidence interval of the target metric tightens below the target.
+// The coordinator expands an experiment grid (flags or a JSON plan
+// file) into jobs with per-job seeds derived from the plan seed, hands
+// out time-bounded job leases, re-leases jobs whose workers miss
+// heartbeats, persists every record to <out>/records.log (the
+// runner.Store log cmd/figures writes too: crash-safe and resumable),
+// and — when -ci-target is set — keeps adding seed replications to a
+// cell until the bootstrap confidence interval of the target metric
+// tightens below the target.
 //
-// Workers are thin wrappers around the exact execution path the
-// in-process pool uses (same derived seeds, panic isolation, per-job
-// deadlines, bounded retries), so a sweep run by one coordinator and N
-// workers — on one machine or several — aggregates byte-identically to
-// cmd/sweep at the same seed.
+// Workers run the exact execution path of the in-process pool (same
+// derived seeds, panic isolation, per-job deadlines, bounded retries),
+// so a sweep aggregates byte-identically at any worker count, on one
+// machine or several.
 //
-//	sweepd serve -scenario scenarios/oversub-2to1.json \
-//	       -vary switch.bm=DT,ABM -reps 3 -addr 127.0.0.1:7077 -out results/serve
+//	sweepd serve -bms DT,ABM -loads 0.2,0.4 -reps 3 -out results/sweep
+//	sweepd serve -bms DT,ABM -loads 0.2,0.4 -reps 3 -out results/sweep -resume
+//	sweepd serve -scenario scenarios/oversub-2to1.json -vary switch.bm=DT,ABM -dry-run
+//	sweepd serve -plan plan.json -workers 0 -addr 127.0.0.1:7077 -out results/serve
 //	sweepd work -connect 127.0.0.1:7077 -slots 4
 //	sweepd status -connect 127.0.0.1:7077
+//	sweepd status -out results
 //
-// serve also runs -workers in-process workers (default NumCPU), so a
-// single invocation with no remote workers behaves exactly like
-// cmd/sweep, down to the aggregate bytes.
+// Without -addr, serve opens no listener: the sweep is local, and any
+// number of local sweeps can run side by side. Profiling: -cpuprofile,
+// -memprofile, -trace, -blockprofile and -mutexprofile capture a serve
+// run (see DESIGN.md, "Event engine internals").
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,49 +53,63 @@ import (
 	"abm/internal/experiments"
 	"abm/internal/obs"
 	"abm/internal/obs/prom"
+	"abm/internal/prof"
 	"abm/internal/runner"
 	"abm/internal/sweepd"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	if len(os.Args) < 2 {
-		usage()
+// run is main's body: it dispatches the subcommand and returns the exit
+// code, so deferred profile writers and store closes fire on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
 		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "serve":
-		return serveCmd(os.Args[2:])
+		return serveCmd(args[1:], stdout, stderr)
 	case "work":
-		return workCmd(os.Args[2:])
+		return workCmd(args[1:], stderr)
 	case "status":
-		return statusCmd(os.Args[2:])
+		return statusCmd(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
-		usage()
+		usage(stderr)
 		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "sweepd: unknown subcommand %q\n", os.Args[1])
-		usage()
+		fmt.Fprintf(stderr, "sweepd: unknown subcommand %q\n", args[0])
+		usage(stderr)
 		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  sweepd serve  [grid flags] -addr host:port -out dir   run the coordinator (plus -workers in-process workers)
-  sweepd work   -connect host:port [-slots n]           work a remote coordinator's sweep
-  sweepd status -connect host:port                      print a coordinator's live status
-  sweepd status -out dir                                replay a finished sweep's record log offline
+func usage(w io.Writer) {
+	fmt.Fprint(w, `usage:
+  sweepd serve  [grid flags] -out dir [-addr host:port]  run a sweep on -workers in-process workers (plus remote ones with -addr)
+  sweepd work   -connect host:port [-slots n]            work a remote coordinator's sweep
+  sweepd status -connect host:port                       print a coordinator's live status
+  sweepd status -out dir                                 summarize a record log offline (sweepd serve or figures -out)
 `)
 }
 
-// serveCmd runs the coordinator: grid flags mirror cmd/sweep, service
-// flags add the lease/replication/durability knobs.
-func serveCmd(args []string) int {
-	fs := flag.NewFlagSet("sweepd serve", flag.ExitOnError)
+// parse parses args into fs. ok is false when the command must stop and
+// return code: 0 after -h, 2 on a bad flag (fs has printed why).
+func parse(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0, false
+	}
+	return 2, err == nil
+}
+
+// serveCmd runs a sweep: grid flags describe the jobs, service flags
+// the lease/replication/durability knobs.
+func serveCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepd serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		planFile = fs.String("plan", "", "JSON plan file (see internal/experiments.Grid)")
+		planFile = fs.String("plan", "", "JSON plan file (see internal/experiments.Grid); the grid flags below are then ignored")
 		name     = fs.String("name", "sweep", "sweep name (prefixes job IDs)")
 		scale    = fs.String("scale", "small", "fabric scale: small, medium, paper")
 		seed     = fs.Int64("seed", 1, "plan seed; per-job seeds derive from it")
@@ -99,38 +122,51 @@ func serveCmd(args []string) int {
 		qpp      = fs.Int("queues", 0, "queues per port (0 = default)")
 		workload = fs.String("workload", "", "background workload: websearch (default), datamining")
 		duration = fs.Float64("duration-ms", 0, "traffic duration override in milliseconds (0 = scale default)")
-		shards   = fs.Int("shards", 0, "simulation shards per job (0 = 1)")
+		shards   = fs.Int("shards", 0, "simulation shards per job (0 = 1; in-process workers are capped so shards x workers <= GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
-		scnFile  = fs.String("scenario", "", "base scenario JSON file; -vary axes mutate it by field path")
+		scnFile  = fs.String("scenario", "", "base scenario JSON file: jobs start from it and -vary axes mutate it (the cell axes above are ignored)")
 		vary     varyAxes
 
-		addr       = fs.String("addr", "127.0.0.1:7077", "listen address for worker connections")
-		workers    = fs.Int("workers", runtime.NumCPU(), "in-process workers (0 = remote workers only)")
-		retries    = fs.Int("retries", 1, "retries for jobs failing with an error (in-process workers)")
-		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat")
-		maxLeases  = fs.Int("max-lease-attempts", 5, "leases per job before the coordinator records it failed")
-		ciTarget   = fs.Float64("ci-target", 0, "adaptive replication: relative CI half-width target (0 = off)")
-		ciMetric   = fs.String("ci-metric", "p99_incast_slowdown", "metric adaptive replication tightens")
-		maxReps    = fs.Int("max-reps", 0, "adaptive replication cap per cell (0 = 4x base reps)")
-		out        = fs.String("out", "sweepd-results", "output directory (records.log, aggregate.json)")
-		resume     = fs.Bool("resume", false, "resume from an existing records.log in -out")
-		batch      = fs.Int("batch", 64, "record-log commit batch size")
-		batchDelay = fs.Duration("batch-delay", 200*time.Millisecond, "record-log commit deadline")
-		quiet      = fs.Bool("quiet", false, "suppress per-job progress lines")
-		of         obs.Flags
+		addr      = fs.String("addr", "", "listen address for remote workers (empty = local sweep, no listener)")
+		workers   = fs.Int("workers", runtime.NumCPU(), "in-process workers (0 = remote workers only, needs -addr)")
+		retries   = fs.Int("retries", 1, "retries for jobs failing with an error (in-process workers)")
+		leaseTTL  = fs.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat")
+		maxLeases = fs.Int("max-lease-attempts", 5, "leases per job before the coordinator records it failed")
+		ciTarget  = fs.Float64("ci-target", 0, "adaptive replication: relative CI half-width target (0 = off)")
+		ciMetric  = fs.String("ci-metric", "p99_incast_slowdown", "metric adaptive replication tightens")
+		maxReps   = fs.Int("max-reps", 0, "adaptive replication cap per cell (0 = 4x base reps)")
+		out       = fs.String("out", "sweepd-results", "output directory (records.log, telemetry/, aggregate.json)")
+		resume    = fs.Bool("resume", false, "resume from an existing records.log in -out")
+		dryRun    = fs.Bool("dry-run", false, "print the expanded job list with seeds and exit")
+		quiet     = fs.Bool("quiet", false, "suppress per-job progress lines")
+		pf        prof.Flags
+		of        obs.Flags
 	)
-	fs.Var(&vary, "vary", "scenario-mode sweep axis as \"field.path=v1,v2,...\" (repeatable)")
+	fs.Var(&vary, "vary", "scenario-mode sweep axis as \"field.path=v1,v2,...\" (repeatable; crossed in flag order)")
+	pf.AddFlagsTo(fs)
 	of.AddFlagsTo(fs, true)
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
+	die := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	obsOpts, err := of.Validate()
 	if err != nil {
 		return die(err)
 	}
+	loadVals, err1 := floatsCSV(*loads)
+	fracVals, err2 := floatsCSV(*requests)
+	alphaVals, err3 := floatsCSV(*alphas)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return die(err)
+	}
 	grid := experiments.Grid{
 		Name: *name, Scale: *scale, Seed: *seed, Reps: *reps,
 		BMs: splitCSV(*bms), CCs: splitCSV(*ccs),
-		Loads: floatsCSV(*loads), RequestFracs: floatsCSV(*requests), Alphas: floatsCSV(*alphas),
+		Loads: loadVals, RequestFracs: fracVals, Alphas: alphaVals,
 		QueuesPerPort: *qpp, Workload: *workload, DurationMS: *duration,
 		Shards: *shards, TimeoutSec: timeout.Seconds(),
 		Obs: obsOpts, Scenario: *scnFile, Vary: vary,
@@ -147,32 +183,48 @@ func serveCmd(args []string) int {
 		if err := json.Unmarshal(data, &grid); err != nil {
 			return die(fmt.Errorf("%s: %w", *planFile, err))
 		}
+		// Telemetry flags apply on top of a plan file, so stored plans
+		// can be re-traced.
 		if obsOpts.Active() {
 			grid.Obs = obsOpts
 		}
 	}
-
-	logPath := filepath.Join(*out, "records.log")
-	if !*resume {
-		if _, err := os.Stat(logPath); err == nil {
-			return die(fmt.Errorf("%s already holds a record log; pass -resume to continue it or choose a fresh -out", *out))
+	if *dryRun {
+		plan, err := grid.Plan()
+		if err != nil {
+			return die(err)
 		}
+		for i, s := range plan.Specs {
+			fmt.Fprintf(stdout, "%s\tseed=%d\n", s.ID, plan.SeedOf(i))
+		}
+		return 0
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return die(err)
+	if *workers <= 0 && *addr == "" {
+		return die(fmt.Errorf("sweepd serve: -workers 0 leaves no one to run jobs without -addr for remote workers"))
 	}
-	recLog, err := sweepd.OpenFileLog(logPath)
+
+	stopProf, err := pf.Start()
 	if err != nil {
 		return die(err)
 	}
-	store := sweepd.NewStore(recLog, *batch, *batchDelay)
-	// Worker-shipped telemetry bundles land beside the record log.
-	store.TelemetryDir = filepath.Join(*out, "telemetry")
-	defer store.Close()
+	defer stopProf()
 
-	var progress *os.File
+	if !*resume {
+		// A fresh sweep into a dir holding an old log would silently
+		// reuse its records; require the explicit flag for that.
+		if _, err := os.Stat(filepath.Join(*out, "records.log")); err == nil {
+			return die(fmt.Errorf("%s already holds a record log; pass -resume to continue it or choose a fresh -out", *out))
+		}
+	}
+	store, err := runner.OpenStore(*out)
+	if err != nil {
+		return die(err)
+	}
+	defer store.Close() // error paths; the success path checks Close below
+
+	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
 	c, err := sweepd.NewCoordinator(sweepd.Config{
 		Grid:             &grid,
@@ -188,19 +240,25 @@ func serveCmd(args []string) int {
 		return die(err)
 	}
 
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return die(err)
+	where := "local only"
+	if *addr != "" {
+		l, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return die(err)
+		}
+		defer l.Close()
+		go c.Serve(l)
+		where = "listening on " + l.Addr().String()
 	}
-	defer l.Close()
-	go c.Serve(l)
-
-	fmt.Fprintf(os.Stderr, "sweepd %q: %d jobs, listening on %s, %d in-process workers -> %s\n",
-		c.Plan().Name, len(c.Plan().Specs), l.Addr(), *workers, *out)
+	// grid.Shards (not the flag) so a -plan file's shard setting also
+	// caps the in-process workers against oversubscription.
+	local := runner.CapWorkers(*workers, grid.Shards, stderr)
+	fmt.Fprintf(stderr, "sweepd %q: %d jobs, %s, %d in-process workers -> %s\n",
+		c.Plan().Name, len(c.Plan().Specs), where, local, *out)
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	for i := 0; i < *workers; i++ {
+	for i := 0; i < local; i++ {
 		w := &sweepd.Worker{
 			Dispatcher: c,
 			Name:       fmt.Sprintf("local-%d", i),
@@ -212,7 +270,7 @@ func serveCmd(args []string) int {
 		go func() {
 			defer wg.Done()
 			if err := w.Run(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
+				fmt.Fprintf(stderr, "sweepd: %v\n", err)
 			}
 		}()
 	}
@@ -222,7 +280,8 @@ func serveCmd(args []string) int {
 		return die(err)
 	}
 	wg.Wait()
-	if err := store.Flush(); err != nil {
+	// Close commits the last batch of records.
+	if err := store.Close(); err != nil {
 		return die(err)
 	}
 
@@ -247,12 +306,13 @@ func serveCmd(args []string) int {
 		}
 	}
 	failed := runner.Failed(records)
-	fmt.Print(runner.FormatGroups(groups))
+	fmt.Fprint(stdout, runner.FormatGroups(groups))
 	st := store.Stats()
-	fmt.Fprintf(os.Stderr, "done in %s: %d ok (%d from log), %d failed; %d records in %d batches; aggregate -> %s\n",
+	fmt.Fprintf(stderr, "done in %s: %d ok (%d from log), %d failed; %d records in %d batches; aggregate -> %s\n",
 		time.Since(start).Round(100*time.Millisecond), ok, cached, len(failed), st.Records, st.Batches, aggPath)
 	for _, rec := range failed {
-		fmt.Fprintf(os.Stderr, "  FAILED %s: %s (%s)\n", rec.ID, firstLine(rec.Error), rec.Status)
+		msg, _, _ := strings.Cut(rec.Error, "\n")
+		fmt.Fprintf(stderr, "  FAILED %s: %s (%s)\n", rec.ID, msg, rec.Status)
 	}
 	if len(failed) > 0 {
 		return 1
@@ -261,8 +321,9 @@ func serveCmd(args []string) int {
 }
 
 // workCmd joins a remote coordinator as a worker.
-func workCmd(args []string) int {
-	fs := flag.NewFlagSet("sweepd work", flag.ExitOnError)
+func workCmd(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepd work", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		connect     = fs.String("connect", "", "coordinator address (host:port or URL)")
 		name        = fs.String("name", "", "worker name (default worker-<pid>)")
@@ -271,13 +332,19 @@ func workCmd(args []string) int {
 		metricsAddr = fs.String("metrics-addr", "", "serve the worker's own /metrics on this address (empty = off)")
 		quiet       = fs.Bool("quiet", false, "suppress per-job progress lines")
 	)
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
+	die := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	if *connect == "" {
 		return die(fmt.Errorf("sweepd work: -connect is required"))
 	}
-	var progress *os.File
+	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
 	w := &sweepd.Worker{
 		Dispatcher: sweepd.NewClient(*connect),
@@ -304,46 +371,50 @@ func workCmd(args []string) int {
 	if err := w.Run(context.Background()); err != nil {
 		return die(err)
 	}
-	fmt.Fprintln(os.Stderr, "sweepd: sweep complete, worker exiting")
+	fmt.Fprintln(stderr, "sweepd: sweep complete, worker exiting")
 	return 0
 }
 
 // statusCmd prints a coordinator's live status (-connect) or replays a
-// finished sweep's record log (-out) for the same view offline.
-func statusCmd(args []string) int {
-	fs := flag.NewFlagSet("sweepd status", flag.ExitOnError)
+// record log (-out) for the same view offline.
+func statusCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepd status", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	connect := fs.String("connect", "", "coordinator address (host:port or URL)")
 	out := fs.String("out", "", "offline mode: replay records.log in this directory instead of contacting a coordinator")
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
+	var (
+		st  *sweepd.Status
+		err error
+	)
 	switch {
 	case *connect != "":
-		st, err := sweepd.NewClient(*connect).Status()
-		if err != nil {
-			return die(err)
-		}
-		printStatus(st)
+		st, err = sweepd.NewClient(*connect).Status()
 	case *out != "":
-		st, err := offlineStatus(*out)
-		if err != nil {
-			return die(err)
-		}
-		printStatus(st)
+		st, err = offlineStatus(*out)
 	default:
-		return die(fmt.Errorf("sweepd status: -connect or -out is required"))
+		err = fmt.Errorf("sweepd status: -connect or -out is required")
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	printStatus(stdout, st)
 	return 0
 }
 
 // printStatus renders one status snapshot, including the fleet-wide
 // merged FCT-slowdown summary per group when the sweep records
 // histograms.
-func printStatus(st *sweepd.Status) {
-	fmt.Printf("sweep %q: %d jobs — %d pending, %d leased, %d done (%d failed)",
+func printStatus(w io.Writer, st *sweepd.Status) {
+	fmt.Fprintf(w, "sweep %q: %d jobs — %d pending, %d leased, %d done (%d failed)",
 		st.Name, st.Jobs, st.Pending, st.Leased, st.Done, st.Failed)
 	if st.Finished {
-		fmt.Print("  [finished]")
+		fmt.Fprint(w, "  [finished]")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, g := range st.Groups {
 		line := fmt.Sprintf("  %-40s %d/%d ok", g.Group, g.OK, g.Total)
 		if g.Failed > 0 {
@@ -355,65 +426,66 @@ func printStatus(st *sweepd.Status) {
 		if g.Settled {
 			line += ", settled"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 		if s := g.Slowdown; s != nil {
-			fmt.Printf("  %-40s slowdown p50 %.3f  p99 %.3f  p999 %.3f  (%d flows)\n",
+			fmt.Fprintf(w, "  %-40s slowdown p50 %.3f  p99 %.3f  p999 %.3f  (%d flows)\n",
 				"", s.P50, s.P99, s.P999, s.Count)
 		}
 	}
 	if st.Batch != nil {
-		fmt.Printf("  log: %d records in %d batches (max %d)\n",
+		fmt.Fprintf(w, "  log: %d records in %d batches (max %d)\n",
 			st.Batch.Records, st.Batch.Batches, st.Batch.MaxBatchLen)
 	}
 }
 
-// offlineStatus rebuilds a status snapshot from a sweep's record log —
-// the post-run path: the coordinator has exited, but its durable state
-// answers the same questions.
+// offlineStatus rebuilds a status snapshot from a record log — the
+// post-run path: the coordinator (or figures run) has exited, but its
+// durable state answers the same questions. A log holding several
+// experiments (a figures -out directory) names each group by its
+// experiment too, since figures reuse group labels.
 func offlineStatus(dir string) (*sweepd.Status, error) {
-	logPath := filepath.Join(dir, "records.log")
-	recLog, err := sweepd.OpenFileLog(logPath)
+	if _, err := os.Stat(filepath.Join(dir, "records.log")); err != nil {
+		return nil, err
+	}
+	store, err := runner.OpenStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer recLog.Close()
-	recs, err := recLog.Replay()
+	defer store.Close()
+	recs, err := store.Latest()
 	if err != nil {
 		return nil, err
 	}
-	// Latest-entry-wins per job, like the resume path.
-	latest := make(map[string]runner.Record)
-	var order []string
+	var names []string
 	for _, rec := range recs {
-		if _, seen := latest[rec.ID]; !seen {
-			order = append(order, rec.ID)
+		if rec.Experiment != "" && !slices.Contains(names, rec.Experiment) {
+			names = append(names, rec.Experiment)
 		}
-		latest[rec.ID] = rec
 	}
-	st := &sweepd.Status{Finished: true}
+	sort.Strings(names)
+	st := &sweepd.Status{Name: strings.Join(names, ","), Finished: true}
 	byGroup := make(map[string][]runner.Record)
-	var groupOrder []string
-	for _, id := range order {
-		rec := latest[id]
-		if st.Name == "" && rec.Experiment != "" {
-			st.Name = rec.Experiment
-		}
+	for _, rec := range recs {
 		st.Jobs++
 		st.Done++
 		if !rec.OK() {
 			st.Failed++
 		}
-		group := rec.Group
-		if group == "" {
-			group = rec.ID
-		}
-		if _, seen := byGroup[group]; !seen {
-			groupOrder = append(groupOrder, group)
+		group := rec.ID
+		if rec.Group != "" {
+			group = rec.Group
+			if len(names) > 1 {
+				group = rec.Experiment + "/" + group
+			}
 		}
 		byGroup[group] = append(byGroup[group], rec)
 	}
-	sort.Strings(groupOrder)
-	for _, group := range groupOrder {
+	groups := make([]string, 0, len(byGroup))
+	for group := range byGroup {
+		groups = append(groups, group)
+	}
+	sort.Strings(groups)
+	for _, group := range groups {
 		gs := sweepd.GroupStatus{Group: group, Settled: true}
 		var ok []runner.Record
 		for _, rec := range byGroup[group] {
@@ -431,17 +503,9 @@ func offlineStatus(dir string) (*sweepd.Status, error) {
 	return st, nil
 }
 
-func die(err error) int {
-	fmt.Fprintln(os.Stderr, err)
-	return 2
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
-}
-
-// varyAxes mirrors cmd/sweep's repeatable -vary flag.
+// varyAxes parses repeatable -vary "field.path=v1,v2" flags into
+// scenario-mode grid axes, preserving flag order (axis order determines
+// job IDs and therefore derived seeds).
 type varyAxes []experiments.PathAxis
 
 func (v *varyAxes) String() string {
@@ -466,9 +530,6 @@ func (v *varyAxes) Set(s string) error {
 }
 
 func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
 	var out []string
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {
@@ -478,21 +539,14 @@ func splitCSV(s string) []string {
 	return out
 }
 
-func floatsCSV(s string) []float64 {
+func floatsCSV(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range splitCSV(s) {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
-			fatal(fmt.Errorf("bad number %q: %w", f, err))
+			return nil, fmt.Errorf("bad number %q: %w", f, err)
 		}
 		out = append(out, v)
 	}
-	return out
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	return out, nil
 }

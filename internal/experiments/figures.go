@@ -20,7 +20,7 @@ func RunFigure(id string, scale Scale, seed int64, w io.Writer) error {
 }
 
 // RunFigureOpts is RunFigure with explicit execution options: worker
-// count, per-cell timeout and retries, an optional JSON record store,
+// count, per-cell timeout and retries, an optional record store,
 // and progress reporting.
 func RunFigureOpts(o *RunOptions, id string, scale Scale, seed int64, w io.Writer) error {
 	switch id {

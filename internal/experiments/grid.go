@@ -13,7 +13,7 @@ import (
 )
 
 // Grid describes a cross-product sweep of evaluation cells for
-// cmd/sweep: every combination of buffer-management scheme, congestion
+// sweepd serve: every combination of buffer-management scheme, congestion
 // control, load, incast request size and alpha, replicated Reps times
 // with per-replication seeds derived from the plan seed. It is the
 // JSON schema of a plan file.
@@ -146,19 +146,19 @@ func (g Grid) Plan() (*runner.Plan, error) {
 						group := fmt.Sprintf("bm=%s,cc=%s,load=%g,req=%g,alpha=%g",
 							bmName, ccName, load, frac, alpha)
 						for rep := 0; rep < g.Reps; rep++ {
-							cell := cell
 							id := fmt.Sprintf("%s/%04d-%s,rep=%d", g.Name, len(plan.Specs), group, rep)
+							exec := cell
 							if g.Obs.Active() {
-								cell.Obs = g.Obs.ForJob(id)
+								exec.Obs = g.Obs.ForJob(id)
 							}
 							plan.Add(runner.Spec{
 								ID:         id,
 								Experiment: g.Name,
 								Group:      group,
 								Timeout:    timeout,
-								Config:     cell,
+								Config:     cell, // telemetry stays out of the echo
 								Run: func(ctx context.Context, seed int64) (runner.Result, error) {
-									c := cell
+									c := exec
 									c.Seed = seed
 									res, err := Run(c)
 									if err != nil {
@@ -214,19 +214,19 @@ func (g Grid) scenarioPlan() (*runner.Plan, error) {
 			group = "scenario"
 		}
 		for rep := 0; rep < g.Reps; rep++ {
-			job := sc.Clone()
 			id := fmt.Sprintf("%s/%04d-%s,rep=%d", g.Name, len(plan.Specs), group, rep)
+			exec := sc.Clone()
 			if g.Obs.Active() {
-				job.Obs = g.Obs.ForJob(id)
+				exec.Obs = g.Obs.ForJob(id)
 			}
 			plan.Add(runner.Spec{
 				ID:         id,
 				Experiment: g.Name,
 				Group:      group,
 				Timeout:    timeout,
-				Config:     job,
+				Config:     sc, // telemetry flags stay out of the echo
 				Run: func(ctx context.Context, seed int64) (runner.Result, error) {
-					c := job.Clone()
+					c := exec.Clone()
 					c.Seed = seed
 					res, _, err := scenario.Run(c)
 					if err != nil {

@@ -26,8 +26,9 @@ type RunOptions struct {
 	Timeout time.Duration
 	// Retries re-runs cells that fail with an error.
 	Retries int
-	// Store, when non-nil, persists one JSON record per cell and lets
-	// completed cells be skipped when the same figure re-runs.
+	// Store, when non-nil, persists one record per cell and lets
+	// completed cells be skipped when the same figure re-runs at the
+	// same seed and configuration.
 	Store *runner.Store
 	// Progress, when non-nil, receives live progress/ETA lines.
 	Progress io.Writer
@@ -70,7 +71,7 @@ type cellJob struct {
 // runCells executes a figure's cells on the runner pool and returns
 // their results in input order. Cells keep their explicit seeds (a
 // figure's TSV is a pure function of the figure seed), run in parallel,
-// and each lands as one JSON record in the options' store when set. A
+// and each lands as one record in the options' store when set. A
 // cell that fails — including one that panics — fails the figure with
 // its job ID attached, after the remaining cells finish.
 func runCells(o *RunOptions, experiment string, jobs []cellJob) ([]Result, error) {
@@ -84,17 +85,18 @@ func runCells(o *RunOptions, experiment string, jobs []cellJob) ([]Result, error
 			cell.Fabric = o.Fabric
 		}
 		id := fmt.Sprintf("%s/%03d-%s", experiment, i, job.label)
+		exec := cell
 		if o != nil && o.Obs.Active() {
-			cell.Obs = o.Obs.ForJob(id)
+			exec.Obs = o.Obs.ForJob(id)
 		}
 		plan.Add(runner.Spec{
 			ID:         id,
 			Experiment: experiment,
 			Group:      job.label,
 			Seed:       cell.Seed,
-			Config:     cell,
+			Config:     cell, // telemetry stays out of the echo
 			Run: func(ctx context.Context, seed int64) (runner.Result, error) {
-				c := cell
+				c := exec
 				c.Seed = seed
 				res, err := Run(c)
 				if err != nil {

@@ -33,9 +33,9 @@ func (p *Plan) SeedFor(index int) int64 {
 	return randutil.DeriveSeed(p.Seed, index)
 }
 
-// seedOf resolves the effective seed of job i: an explicit spec seed
+// SeedOf resolves the effective seed of job i: an explicit spec seed
 // wins, otherwise the derived one.
-func (p *Plan) seedOf(i int) int64 {
+func (p *Plan) SeedOf(i int) int64 {
 	if s := p.Specs[i].Seed; s != 0 {
 		return s
 	}

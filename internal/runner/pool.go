@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,15 +18,16 @@ import (
 var errTimeout = errors.New("job deadline exceeded")
 
 // RecordSink is where a pool persists records as jobs complete and
-// where it reads previously-completed jobs from when resuming. *Store
-// (one JSON file per job plus a manifest) is the classic implementation;
-// internal/sweepd's batched append-only record log is another.
+// where it reads previously-completed jobs from when resuming. *Store,
+// the batch-committed record log, is the implementation.
 type RecordSink interface {
-	// Put persists one finished record durably.
+	// Put persists one finished record. It is durable by the sink's
+	// next commit: for *Store, once 64 records are pending, 200 ms after
+	// the first of them, or on Flush/Close.
 	Put(Record) error
 	// Completed returns the latest successful record of every job the
-	// sink already holds, keyed by job ID; jobs it lists are skipped on
-	// resume.
+	// sink already holds, keyed by job ID; a resume skips the jobs whose
+	// record is Reusable.
 	Completed() (map[string]Record, error)
 }
 
@@ -39,10 +42,8 @@ type Pool struct {
 	// Workers is the number of concurrent jobs; <=0 means NumCPU.
 	Workers int
 	// JobShards is the number of simulation shards each job itself runs
-	// on (its internal goroutine fan-out); <=1 means one.
-	// When >1, Run caps the worker count so that workers x JobShards
-	// stays within GOMAXPROCS instead of silently oversubscribing the
-	// machine, and logs the adjustment to Progress.
+	// on (its internal goroutine fan-out); <=1 means one. Run caps the
+	// worker count with CapWorkers.
 	JobShards int
 	// Timeout is the default per-job wall-clock limit; 0 means none.
 	// A simulation cannot be preempted, so on expiry the job goroutine
@@ -76,20 +77,7 @@ func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if p.JobShards > 1 && workers > 1 {
-		maxWorkers := runtime.GOMAXPROCS(0) / p.JobShards
-		if maxWorkers < 1 {
-			maxWorkers = 1
-		}
-		if workers > maxWorkers {
-			if p.Progress != nil {
-				fmt.Fprintf(p.Progress,
-					"runner: capping workers %d -> %d (%d shards/job, GOMAXPROCS %d)\n",
-					workers, maxWorkers, p.JobShards, runtime.GOMAXPROCS(0))
-			}
-			workers = maxWorkers
-		}
-	}
+	workers = CapWorkers(workers, p.JobShards, p.Progress)
 	var done map[string]Record
 	if p.Store != nil {
 		var err error
@@ -113,13 +101,13 @@ func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
 			defer wg.Done()
 			for i := range idx {
 				spec := plan.Specs[i]
-				if rec, ok := done[spec.ID]; ok && rec.OK() {
+				if rec, ok := done[spec.ID]; ok && Reusable(spec, plan.SeedOf(i), rec) {
 					rec.Cached = true
 					records[i] = rec
 					prog.record(rec)
 					continue
 				}
-				rec := p.runJob(ctx, spec, plan.seedOf(i))
+				rec := p.runJob(ctx, spec, plan.SeedOf(i))
 				if p.Store != nil && rec.Status != StatusCanceled {
 					if err := p.Store.Put(rec); err != nil {
 						storeMu.Lock()
@@ -151,7 +139,7 @@ dispatch:
 			spec := plan.Specs[i]
 			records[i] = Record{
 				ID: spec.ID, Experiment: spec.Experiment, Group: spec.Group,
-				Seed: plan.seedOf(i), Config: spec.Config,
+				Seed: plan.SeedOf(i), Config: spec.Config,
 				Status: StatusCanceled, Error: ctx.Err().Error(),
 			}
 		}
@@ -160,6 +148,59 @@ dispatch:
 		return records, err
 	}
 	return records, storeErr
+}
+
+// CapWorkers bounds an in-process worker count so that workers x shards
+// (each job's own goroutine fan-out) stays within GOMAXPROCS instead of
+// silently oversubscribing the machine. It logs an adjustment to w when
+// w is non-nil.
+func CapWorkers(workers, shards int, w io.Writer) int {
+	if shards <= 1 || workers <= 1 {
+		return workers
+	}
+	procs := runtime.GOMAXPROCS(0)
+	capped := max(procs/shards, 1)
+	if workers <= capped {
+		return workers
+	}
+	if w != nil {
+		fmt.Fprintf(w, "runner: capping workers %d -> %d (%d shards/job, GOMAXPROCS %d)\n",
+			workers, capped, shards, procs)
+	}
+	return capped
+}
+
+// Reusable reports whether a stored record can stand in for running
+// spec at seed: it succeeded, and its seed and config echo match the
+// spec's. Job IDs carry neither the seed nor the scale, so a store that
+// outlives one run must not serve that run's records to a run at
+// another seed or scale. The configs compare as canonical JSON.
+func Reusable(spec Spec, seed int64, rec Record) bool {
+	if !rec.OK() || rec.Seed != seed {
+		return false
+	}
+	want, err := canonicalJSON(spec.Config)
+	if err != nil {
+		return false
+	}
+	got, err := canonicalJSON(rec.Config)
+	return err == nil && bytes.Equal(want, got)
+}
+
+// canonicalJSON encodes v, decodes it generically the way a replayed
+// record is decoded (numbers exact, as json.Number), and re-encodes the
+// result with sorted keys. A typed config and its replayed echo thus
+// compare equal, with no precision lost on one side only.
+func canonicalJSON(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var generic any
+	if err := decodeJSON(data, &generic); err != nil {
+		return nil, err
+	}
+	return json.Marshal(generic)
 }
 
 // runJob executes one job to a final record, including its retry loop.

@@ -106,7 +106,7 @@ func TestSeedDerivation(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i := range plan.Specs {
-		s := plan.seedOf(i)
+		s := plan.SeedOf(i)
 		if s <= 0 {
 			t.Fatalf("seed %d not positive: %d", i, s)
 		}
@@ -115,18 +115,18 @@ func TestSeedDerivation(t *testing.T) {
 		}
 		seen[s] = true
 		if s != plan.SeedFor(i) {
-			t.Fatal("seedOf disagrees with SeedFor")
+			t.Fatal("SeedOf disagrees with SeedFor")
 		}
 	}
 	// Explicit seeds pass through untouched.
 	plan.Specs[3].Seed = 1234
-	if plan.seedOf(3) != 1234 {
+	if plan.SeedOf(3) != 1234 {
 		t.Fatal("explicit seed not honored")
 	}
 	// A different plan seed yields different derived seeds.
 	other := &Plan{Name: "p", Seed: 8}
 	other.Add(Spec{Run: fakeJob(nil)})
-	if other.seedOf(0) == plan.SeedFor(0) {
+	if other.SeedOf(0) == plan.SeedFor(0) {
 		t.Fatal("plan seed does not influence derivation")
 	}
 }

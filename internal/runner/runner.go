@@ -1,10 +1,11 @@
-// Package runner is the sweep orchestration layer behind cmd/sweep,
+// Package runner is the sweep orchestration layer behind cmd/sweepd,
 // cmd/figures and the figure entry points of internal/experiments: it
 // expands experiment grids into job lists (Plan), shards them across
 // worker goroutines with per-job timeouts, panic recovery and bounded
-// retries (Pool), persists one JSON record per job plus a manifest that
-// enables resumption (Store), and reduces replicated seeds into summary
-// statistics with bootstrap confidence intervals (Aggregate).
+// retries (Pool, Execute), persists every record to one CRC-framed,
+// batch-committed log that enables resumption (Store), and reduces
+// replicated seeds into summary statistics with bootstrap confidence
+// intervals (Aggregate).
 //
 // The runner is generic: a Spec carries an opaque Run function, so any
 // simulation entry point — evaluation cells, burst-lab measurements,
@@ -34,7 +35,7 @@ type RunFunc func(ctx context.Context, seed int64) (Result, error)
 // runs it.
 type Spec struct {
 	// ID uniquely identifies the job within its plan; it keys the result
-	// store, so it must be stable across runs for --resume to work.
+	// store, so it must be stable across runs for -resume to work.
 	ID string
 	// Experiment names the figure or grid the job belongs to.
 	Experiment string
@@ -49,7 +50,11 @@ type Spec struct {
 	// Timeout bounds the job's wall-clock time; zero uses the pool
 	// default, and zero there means no limit.
 	Timeout time.Duration
-	// Config is echoed into the job's JSON record for provenance.
+	// Config is echoed into the job's record for provenance; a resume
+	// reuses a stored record only if its echo still matches (Reusable).
+	// It describes what the job computes: output-only settings such as
+	// telemetry destinations belong in Run, so a resume with other
+	// trace flags still reuses the records.
 	Config any
 	// Run executes the job.
 	Run RunFunc
@@ -90,8 +95,8 @@ const (
 	StatusCanceled Status = "canceled" // the sweep's context was canceled
 )
 
-// Record is the persisted outcome of one job — the unit of the Store's
-// JSON schema and the input to Aggregate.
+// Record is the persisted outcome of one job — one line of the Store's
+// log and the input to Aggregate.
 type Record struct {
 	ID         string  `json:"id"`
 	Experiment string  `json:"experiment,omitempty"`
@@ -105,7 +110,7 @@ type Record struct {
 	WallMS     float64 `json:"wall_ms"`
 	Result     *Result `json:"result,omitempty"`
 
-	// Cached marks records served from the store by --resume rather than
+	// Cached marks records served from the store by a resume rather than
 	// executed in this run. Not persisted.
 	Cached bool `json:"-"`
 }

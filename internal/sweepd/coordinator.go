@@ -1,3 +1,18 @@
+// Package sweepd is the sweep service: a coordinator that owns a job
+// table expanded from an experiment grid, hands out time-bounded job
+// leases to workers — in-process, or over HTTP+JSON — re-leases jobs
+// whose workers miss heartbeats, and persists finished records through
+// runner.Store, the one durable record log. Workers are thin wrappers
+// around the internal/runner execution path — same SplitMix64 per-job
+// seeding, panic/timeout isolation and retries — so a job's record is
+// identical whether it ran on the in-process pool or on a fleet of
+// worker processes, and the aggregated output is byte-identical at
+// seed 42.
+//
+// The coordinator can also replicate adaptively: with a CI target set,
+// it keeps enqueueing extra replication seeds for a group until the
+// bootstrap confidence interval of the target metric tightens below the
+// target, so large grids spend compute where the variance lives.
 package sweepd
 
 import (
@@ -50,10 +65,11 @@ type Config struct {
 	// Default 4x the group's base count.
 	MaxReps int
 
-	// Store, when non-nil, persists every record as it arrives and
-	// seeds resumption: jobs whose IDs Completed() lists as ok are
+	// Store, when non-nil, persists every record as it arrives, keeps
+	// worker-shipped telemetry bundles under <store dir>/telemetry, and
+	// seeds resumption: jobs whose stored record is runner.Reusable are
 	// marked done before any lease is handed out.
-	Store runner.RecordSink
+	Store *runner.Store
 	// Progress, when non-nil, receives lease/completion log lines.
 	Progress io.Writer
 }
@@ -166,11 +182,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		done:     make(chan struct{}),
 	}
 	for i, spec := range plan.Specs {
-		seed := spec.Seed
-		if seed == 0 {
-			seed = plan.SeedFor(i)
-		}
-		j := &job{id: spec.ID, index: i, group: groupKey(spec), seed: seed}
+		j := &job{id: spec.ID, index: i, group: groupKey(spec), seed: plan.SeedOf(i)}
 		c.jobs = append(c.jobs, j)
 		c.byID[j.id] = j
 		g, ok := c.groups[j.group]
@@ -190,7 +202,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 	}
 	for _, j := range c.jobs {
-		if rec, ok := resumed[j.id]; ok && rec.OK() {
+		if rec, ok := resumed[j.id]; ok && runner.Reusable(plan.Specs[j.index], j.seed, rec) {
 			rec.Cached = true
 			j.state, j.rec = jobDone, &rec
 			continue
@@ -215,7 +227,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			for g.reps < c.maxReps(g) {
 				rep := g.reps
 				rec, ok := resumed[c.extraJobID(name, rep)]
-				if !ok || !rec.OK() || rec.Seed != c.extraSeed(g, rep) {
+				if !ok || !runner.Reusable(plan.Specs[g.firstIndex], c.extraSeed(g, rep), rec) {
 					break
 				}
 				rec.Cached = true
@@ -349,16 +361,11 @@ func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byt
 			return err
 		}
 	}
-	if len(telemetry) > 0 {
-		// Telemetry persistence is best-effort and optional: a store
-		// that cannot keep bundles (or a bundle that fails to land)
-		// must not fail the result itself.
-		if ts, ok := c.cfg.Store.(interface {
-			PutTelemetry(id string, data []byte) error
-		}); ok {
-			if err := ts.PutTelemetry(rec.ID, telemetry); err != nil {
-				c.logf("telemetry for %s dropped: %v", rec.ID, err)
-			}
+	if len(telemetry) > 0 && c.cfg.Store != nil {
+		// Telemetry persistence is best-effort: a bundle that fails to
+		// land must not fail the result itself.
+		if err := writeTelemetry(c.cfg.Store.Dir(), rec.ID, telemetry); err != nil {
+			c.logf("telemetry for %s dropped: %v", rec.ID, err)
 		}
 	}
 	if ws != nil {
@@ -656,8 +663,8 @@ func (c *Coordinator) Status() *Status {
 		gs.Slowdown = SlowdownOf(recs)
 		st.Groups = append(st.Groups, *gs)
 	}
-	if s, ok := c.cfg.Store.(*Store); ok && s != nil {
-		stats := s.Stats()
+	if c.cfg.Store != nil {
+		stats := c.cfg.Store.Stats()
 		st.Batch = &stats
 	}
 	return st

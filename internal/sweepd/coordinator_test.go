@@ -44,7 +44,18 @@ func syntheticResult(seed int64) runner.Result {
 	}
 }
 
-// aggBytes renders records the way cmd/sweep persists them: the
+// testStore opens a record log in a fresh temporary directory.
+func testStore(t *testing.T) *runner.Store {
+	t.Helper()
+	st, err := runner.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// aggBytes renders records the way sweepd serve reports them: the
 // aggregate JSON plus the TSV table. Byte equality of this is the
 // equivalence the service guarantees.
 func aggBytes(t *testing.T, recs []runner.Record) string {
@@ -85,8 +96,8 @@ func runWorkers(t *testing.T, c *Coordinator, n int) {
 }
 
 // TestCoordinatorMatchesPool is the core determinism contract on
-// synthetic jobs: coordinator + workers and the classic in-process pool
-// must aggregate byte-identically.
+// synthetic jobs: coordinator + workers and the in-process pool must
+// aggregate byte-identically.
 func TestCoordinatorMatchesPool(t *testing.T) {
 	poolRecs, err := (&runner.Pool{Workers: 4}).Run(t.Context(), syntheticPlan("eq", 12, nil))
 	if err != nil {
@@ -96,7 +107,7 @@ func TestCoordinatorMatchesPool(t *testing.T) {
 
 	c, err := NewCoordinator(Config{
 		Plan:  syntheticPlan("eq", 12, nil),
-		Store: NewStore(NewMemLog(), 0, 0),
+		Store: testStore(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +123,46 @@ func TestCoordinatorMatchesPool(t *testing.T) {
 	}
 	if len(done) != 12 {
 		t.Fatalf("log holds %d records, want 12", len(done))
+	}
+}
+
+// TestPanickingJobIsolated drives a job that panics through the
+// coordinator and in-process workers: its record must say panic and
+// carry the stack, every sibling must succeed, and the sweep must
+// finish.
+func TestPanickingJobIsolated(t *testing.T) {
+	const bad = "boom/0004-g1"
+	plan := syntheticPlan("boom", 9, nil)
+	for i := range plan.Specs {
+		if plan.Specs[i].ID == bad {
+			plan.Specs[i].Run = func(context.Context, int64) (runner.Result, error) {
+				panic("injected panic")
+			}
+		}
+	}
+	c, err := NewCoordinator(Config{Plan: plan, Store: testStore(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkers(t, c, 3)
+	recs := c.Records()
+	if len(recs) != 9 {
+		t.Fatalf("got %d records, want 9", len(recs))
+	}
+	for _, rec := range recs {
+		switch {
+		case rec.ID == bad:
+			if rec.Status != runner.StatusPanic || !strings.Contains(rec.Error, "injected panic") ||
+				!strings.Contains(rec.Stack, "goroutine") {
+				t.Fatalf("panicking job record: status %s, error %q, stack %d bytes",
+					rec.Status, rec.Error, len(rec.Stack))
+			}
+		case !rec.OK():
+			t.Fatalf("sibling %s did not succeed: %s (%s)", rec.ID, rec.Error, rec.Status)
+		}
+	}
+	if st := c.Status(); !st.Finished || st.Failed != 1 {
+		t.Fatalf("status %+v, want finished with 1 failure", st)
 	}
 }
 
@@ -160,7 +211,7 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 		Plan:             makePlan(true),
 		LeaseTTL:         150 * time.Millisecond,
 		MaxLeaseAttempts: 10,
-		Store:            NewStore(NewMemLog(), 0, 0),
+		Store:            testStore(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +388,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	want := aggBytes(t, full)
 
-	store := NewStore(NewMemLog(), 0, 0)
+	store := testStore(t)
 	for _, rec := range full[:4] {
 		if err := store.Put(rec); err != nil {
 			t.Fatal(err)
@@ -354,6 +405,19 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	if got := aggBytes(t, c.Records()); got != want {
 		t.Fatalf("resumed aggregate differs\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	// A plan at another seed shares every job ID but none of the
+	// records: nothing may be served from the log.
+	other := syntheticPlan("res", 8, &calls)
+	other.Seed = 8
+	calls.Store(0)
+	c2, err := NewCoordinator(Config{Plan: other, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkers(t, c2, 2)
+	if n := calls.Load(); n != 8 {
+		t.Fatalf("resume at another seed ran %d jobs, want 8", n)
 	}
 }
 
@@ -420,10 +484,10 @@ func TestAdaptiveReplication(t *testing.T) {
 // and seeds) must be revived alongside the base jobs, so nothing
 // re-runs and the aggregate is unchanged.
 func TestResumeRevivesAdaptiveExtras(t *testing.T) {
-	mkConfig := func(plan *runner.Plan, store *Store) Config {
+	mkConfig := func(plan *runner.Plan, store *runner.Store) Config {
 		return Config{Plan: plan, Store: store, CITarget: 1e-6, CIMetric: "val", MaxReps: 5}
 	}
-	store := NewStore(NewMemLog(), 0, 0)
+	store := testStore(t)
 	c1, err := NewCoordinator(mkConfig(syntheticPlan("rev", 6, nil), store))
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,8 @@ import (
 	"abm/internal/runner"
 )
 
-// equivGrid is a real (tiny) simulation sweep at seed 42: the issue's
-// acceptance bar is that single-process sweepd produces byte-identical
-// aggregates to the classic pool.
+// equivGrid is a real (tiny) simulation sweep at seed 42: single-process
+// sweepd must produce byte-identical aggregates to the in-process pool.
 func equivGrid() experiments.Grid {
 	return experiments.Grid{
 		Name:       "equiv",
@@ -50,11 +49,11 @@ func TestSweepdMatchesPoolOnRealGrid(t *testing.T) {
 	}
 	want := aggBytes(t, poolRecs)
 
-	log, err := OpenFileLog(filepath.Join(t.TempDir(), "records.log"))
+	dir := t.TempDir()
+	store, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore(log, 8, 50*time.Millisecond)
 	c, err := NewCoordinator(Config{Grid: &grid, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +67,12 @@ func TestSweepdMatchesPoolOnRealGrid(t *testing.T) {
 	}
 
 	// The log replays to the same aggregate, in any process.
-	log2, err := OpenFileLog(log.Path())
+	store2, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log2.Close()
-	replayed, err := log2.Replay()
+	defer store2.Close()
+	replayed, err := store2.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,259 +6,163 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"abm/internal/runner"
 )
 
-func testRecord(id string, seed int64) runner.Record {
-	return runner.Record{
-		ID: id, Experiment: "t", Group: "g", Seed: seed,
-		Status: runner.StatusOK, Attempts: 1,
-		Result: &runner.Result{Events: uint64(seed) * 10, Extra: map[string]float64{"x": float64(seed)}},
+// The coordinator persists every result through runner.Store's record
+// log, dir/records.log. These tests drive that log through the service:
+// what a sweep commits must replay intact, survive a crash-torn tail,
+// refuse silent corruption, and resume an in-process pool.
+
+// logSweep runs a full synthetic sweep through a coordinator backed by a
+// record log in dir and returns its records.
+func logSweep(t *testing.T, dir string, jobs int, calls *atomic.Int64) []runner.Record {
+	t.Helper()
+	st, err := runner.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(Config{Plan: syntheticPlan("log", jobs, calls), Store: st})
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	runWorkers(t, c, 3)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Records()
+}
+
+// logLines returns records.log in dir split into lines, each with its
+// trailing newline.
+func logLines(t *testing.T, dir string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "records.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+func writeLog(t *testing.T, dir, data string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "records.log"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestFileLogRoundTrip checks that every record the coordinator
+// accepted is in the log once the store closes, unchanged.
 func TestFileLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	l, err := OpenFileLog(path)
+	dir := t.TempDir()
+	want := logSweep(t, dir, 9, nil)
+	st, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []runner.Record{testRecord("a", 1), testRecord("b", 2), testRecord("c", 3)}
-	if err := l.Append(want[:2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(want[2:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.Replay()
+	defer st.Close()
+	got, err := st.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("replayed %d records, want 3", len(got))
+	if len(got) != len(want) {
+		t.Fatalf("log replayed %d records, want %d", len(got), len(want))
 	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Seed != want[i].Seed ||
-			got[i].Result == nil || got[i].Result.Events != want[i].Result.Events {
-			t.Fatalf("record %d mangled: %+v", i, got[i])
+	byID := make(map[string]runner.Record, len(got))
+	for _, rec := range got {
+		byID[rec.ID] = rec
+	}
+	for _, w := range want {
+		g, ok := byID[w.ID]
+		if !ok {
+			t.Fatalf("record %s missing from the log", w.ID)
+		}
+		if g.Seed != w.Seed || g.Group != w.Group || !g.OK() ||
+			g.Result == nil || g.Result.Events != w.Result.Events ||
+			g.Result.Extra["val"] != w.Result.Extra["val"] {
+			t.Fatalf("record %s mangled: got %+v, want %+v", w.ID, g, w)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestFileLogTornTail cuts the final line mid-write — the shape a
-// SIGKILL during a batch commit leaves — and checks replay keeps every
-// whole record and drops only the torn one.
+// TestFileLogTornTail cuts the log's final line mid-write — the shape a
+// kill during a batch commit leaves — and checks a restarted
+// coordinator keeps every whole record, re-runs only the torn job, and
+// still aggregates like the uninterrupted sweep.
 func TestFileLogTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	full := logSweep(t, dir, 9, nil)
+	lines := logLines(t, dir)
+	if len(lines) != 9 {
+		t.Fatalf("log lines = %d, want 9", len(lines))
 	}
-	if err := l.Append([]runner.Record{testRecord("a", 1), testRecord("b", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
+	last := lines[len(lines)-1]
+	writeLog(t, dir, strings.Join(lines[:len(lines)-1], "")+last[:len(last)/2])
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	var calls atomic.Int64
+	again := logSweep(t, dir, 9, &calls)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("resume over a torn tail ran %d jobs, want 1", n)
 	}
-	// Cut inside the final record's JSON.
-	if err := os.WriteFile(path, data[:len(data)-15], 0o644); err != nil {
-		t.Fatal(err)
+	if got, want := aggBytes(t, again), aggBytes(t, full); got != want {
+		t.Fatalf("resumed aggregate differs\nwant:\n%s\ngot:\n%s", want, got)
 	}
-	l2, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	got, err := l2.Replay()
-	if err != nil {
-		t.Fatalf("torn tail must not fail replay: %v", err)
-	}
-	if len(got) != 1 || got[0].ID != "a" {
-		t.Fatalf("want only record a, got %+v", got)
-	}
-
-	// The reopened log healed the tail, so an append lands cleanly.
-	if err := l2.Append([]runner.Record{testRecord("c", 3)}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = l2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].ID != "c" {
-		t.Fatalf("append after heal: got %+v", got)
+	// The reopened store healed the tail, so the re-run's record landed
+	// on its own line and the log replays whole.
+	if n := len(logLines(t, dir)); n != 9 {
+		t.Fatalf("log lines after resume = %d, want 9", n)
 	}
 }
 
 // TestFileLogMidFileCorruption flips a byte away from the tail: that is
-// damage, not a crash artifact, and must be an error.
+// damage, not a crash artifact, and the coordinator must refuse to
+// resume from it.
 func TestFileLogMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	l, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := l.Append([]runner.Record{testRecord(string(rune('a'+i)), int64(i+1))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	data, err := os.ReadFile(path)
+	dir := t.TempDir()
+	logSweep(t, dir, 6, nil)
+	data, err := os.ReadFile(filepath.Join(dir, "records.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt a byte inside the first line's payload.
-	i := strings.IndexByte(string(data), '\t') + 5
-	data[i] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := OpenFileLog(path)
+	data[strings.IndexByte(string(data), '\t')+5] ^= 0xff
+	writeLog(t, dir, string(data))
+
+	st, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if _, err := l2.Replay(); err == nil {
-		t.Fatal("mid-file corruption replayed silently")
+	defer st.Close()
+	if _, err := NewCoordinator(Config{Plan: syntheticPlan("log", 6, nil), Store: st}); err == nil {
+		t.Fatal("coordinator resumed over mid-file corruption")
 	}
 }
 
-func TestBatcherSizeTrigger(t *testing.T) {
-	log := NewMemLog()
-	b := NewBatcher(log, 3, time.Hour) // deadline effectively off
-	for i := 0; i < 7; i++ {
-		if err := b.Put(testRecord(string(rune('a'+i)), int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 7 puts with batch size 3: two full batches committed, one record
-	// still pending.
-	recs, _ := log.Replay()
-	if len(recs) != 6 {
-		t.Fatalf("committed %d records before flush, want 6", len(recs))
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ = log.Replay()
-	if len(recs) != 7 {
-		t.Fatalf("committed %d records after close, want 7", len(recs))
-	}
-	st := b.Stats()
-	if st.Records != 7 || st.Batches != 3 || st.MaxBatchLen != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestBatcherDeadlineTrigger(t *testing.T) {
-	log := NewMemLog()
-	b := NewBatcher(log, 1<<20, 20*time.Millisecond)
-	if err := b.Put(testRecord("a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if recs, _ := log.Replay(); len(recs) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("deadline commit never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreCompletedLatestWins checks the RecordSink adapter resolves
-// duplicates the same way the manifest store does: the latest entry for
-// a job decides, and only ok records resume.
-func TestStoreCompletedLatestWins(t *testing.T) {
-	s := NewStore(NewMemLog(), 0, 0)
-	fail := testRecord("a", 1)
-	fail.Status, fail.Result = runner.StatusFailed, nil
-	if err := s.Put(fail); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testRecord("a", 1)); err != nil { // retry succeeded
-		t.Fatal(err)
-	}
-	if err := s.Put(testRecord("b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	late := testRecord("b", 2) // later failure supersedes
-	late.Status, late.Result = runner.StatusFailed, nil
-	if err := s.Put(late); err != nil {
-		t.Fatal(err)
-	}
-	done, err := s.Completed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 1 {
-		t.Fatalf("completed = %v, want only a", done)
-	}
-	if _, ok := done["a"]; !ok {
-		t.Fatalf("a missing: %v", done)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreAsPoolSink runs a real Pool against the batched log store:
-// the existing resume path must work unchanged through the adapter.
+// TestStoreAsPoolSink shares one log between the service and the
+// in-process pool: a pool resuming from a log the coordinator wrote
+// serves every job from it and re-runs nothing.
 func TestStoreAsPoolSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "records.log")
-	log, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewStore(log, 4, 10*time.Millisecond)
-	plan := syntheticPlan("pool-sink", 9, nil)
-	recs, err := (&runner.Pool{Workers: 3, Store: store}).Run(t.Context(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runner.Failed(recs)) != 0 {
-		t.Fatalf("failures: %+v", runner.Failed(recs))
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	recs := logSweep(t, dir, 9, nil)
 
-	// Resume: every job served from the log, zero re-runs.
-	log2, err := OpenFileLog(path)
+	st, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2 := NewStore(log2, 0, 0)
-	defer store2.Close()
+	defer st.Close()
 	var calls atomic.Int64
-	plan2 := syntheticPlan("pool-sink", 9, &calls)
-	recs2, err := (&runner.Pool{Workers: 3, Store: store2}).Run(t.Context(), plan2)
+	recs2, err := (&runner.Pool{Workers: 3, Store: st}).Run(t.Context(), syntheticPlan("log", 9, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 0 {
-		t.Fatalf("resume re-ran %d jobs, want 0", n)
+		t.Fatalf("pool resume re-ran %d jobs, want 0", n)
 	}
 	for i := range recs2 {
 		if !recs2[i].Cached || recs2[i].Seed != recs[i].Seed {
-			t.Fatalf("record %d not served from log: %+v", i, recs2[i])
+			t.Fatalf("record %d not served from the log: %+v", i, recs2[i])
 		}
 	}
 }

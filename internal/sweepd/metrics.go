@@ -127,8 +127,8 @@ func (c *Coordinator) WriteMetrics(w *prom.Writer) {
 		}
 	}
 
-	if s, ok := c.cfg.Store.(*Store); ok && s != nil {
-		stats := s.Stats()
+	if c.cfg.Store != nil {
+		stats := c.cfg.Store.Stats()
 		w.Family("abm_sweepd_batch_records_total", "counter", "Records committed to the record log.")
 		w.IntSample("abm_sweepd_batch_records_total", nil, stats.Records)
 		w.Family("abm_sweepd_batch_commits_total", "counter", "Record-log commits (one append + one fsync each).")

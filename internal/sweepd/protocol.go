@@ -194,8 +194,8 @@ type Status struct {
 	Finished bool          `json:"finished"`
 	Groups   []GroupStatus `json:"groups,omitempty"`
 	// Batch reports the record log's commit counters when the
-	// coordinator persists through a batched store.
-	Batch *BatchStats `json:"batch,omitempty"`
+	// coordinator persists through a store.
+	Batch *runner.BatchStats `json:"batch,omitempty"`
 }
 
 // Dispatcher is the coordinator as a worker sees it. *Coordinator

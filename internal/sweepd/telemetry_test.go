@@ -45,8 +45,7 @@ func histPlan(name string, jobs int) *runner.Plan {
 // the worker's state, and the merged histograms surface as the group
 // slowdown summary in Status.
 func TestTelemetryBundleRoundTrip(t *testing.T) {
-	store := NewStore(NewMemLog(), 0, 0)
-	store.TelemetryDir = t.TempDir()
+	store := testStore(t)
 	plan := histPlan("tele", 6)
 	c, err := NewCoordinator(Config{Plan: plan, Store: store})
 	if err != nil {
@@ -62,7 +61,7 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 		if !rec.OK() {
 			t.Fatalf("job %s failed: %s", rec.ID, rec.Error)
 		}
-		b, err := ReadTelemetry(store.TelemetryDir, rec.ID)
+		b, err := ReadTelemetry(store.Dir(), rec.ID)
 		if err != nil {
 			t.Fatalf("bundle for %s: %v", rec.ID, err)
 		}

@@ -30,7 +30,6 @@ import (
 	"abm/internal/scenario"
 	"abm/internal/sim"
 	"abm/internal/topo"
-	"abm/internal/trace"
 	"abm/internal/units"
 	"abm/internal/workload"
 )
@@ -142,7 +141,7 @@ func SetScenarioField(s *Scenario, path, value string) error {
 }
 
 // WriteFlowTrace dumps flow records as a TSV table.
-func WriteFlowTrace(w io.Writer, flows []FlowRecord) error { return trace.WriteFlows(w, flows) }
+func WriteFlowTrace(w io.Writer, flows []FlowRecord) error { return metrics.WriteFlows(w, flows) }
 
 // FigureIDs lists the reproducible paper figures.
 func FigureIDs() []string { return experiments.FigureIDs }

@@ -107,22 +107,13 @@ type MMU struct {
 
 	rng *rand.Rand
 
-	// Telemetry. The sink is nil when telemetry is off; the counter
-	// handles are resolved once here so the admission path performs
-	// plain nil-checked increments (see internal/obs).
-	obsSink            *obs.Sink
-	ctrAdmittedPkts    *obs.Counter
-	ctrAdmittedBytes   *obs.Counter
-	ctrDropThreshold   *obs.Counter
-	ctrDropNoBuffer    *obs.Counter
-	ctrDropAQM         *obs.Counter
-	ctrDropAFD         *obs.Counter
-	ctrDropUnscheduled *obs.Counter
-	ctrMarked          *obs.Counter
-	ctrTrimmed         *obs.Counter
-	histHeadroom       *hist.Histogram
+	// Telemetry. The sink is nil when telemetry is off (see
+	// internal/obs).
+	obsSink      *obs.Sink
+	histHeadroom *hist.Histogram
 
-	// Counters.
+	// Counters. Per-cause drops live on the queues; these are the
+	// switch-wide admission totals.
 	AdmittedPkts  int64
 	AdmittedBytes units.ByteCount
 	MarkedPkts    int64
@@ -143,15 +134,6 @@ func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
 		cfg.AlphaUnscheduled = 64
 	}
 	m := &MMU{cfg: cfg, sw: sw, rng: rng, obsSink: sink}
-	m.ctrAdmittedPkts = sink.Ctr(obs.CtrAdmittedPkts)
-	m.ctrAdmittedBytes = sink.Ctr(obs.CtrAdmittedBytes)
-	m.ctrDropThreshold = sink.Ctr(obs.CtrDropThreshold)
-	m.ctrDropNoBuffer = sink.Ctr(obs.CtrDropNoBuffer)
-	m.ctrDropAQM = sink.Ctr(obs.CtrDropAQM)
-	m.ctrDropAFD = sink.Ctr(obs.CtrDropAFD)
-	m.ctrDropUnscheduled = sink.Ctr(obs.CtrDropUnscheduled)
-	m.ctrMarked = sink.Ctr(obs.CtrECNMarked)
-	m.ctrTrimmed = sink.Ctr(obs.CtrTrimmed)
 	m.histHeadroom = sink.Hist(obs.HistAdmitHeadroom)
 	np, nq := len(sw.ports), sw.prios
 	m.aqms = make([][]aqm.Policy, np)
@@ -394,7 +376,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	// Stage 0: AFD-style early drop (IB).
 	if d, ok := m.cfg.BM.(bm.Dropper); ok && d.ShouldDrop(ctx, m.rng) {
 		q.DropsAFD++
-		m.ctrDropAFD.Inc()
 		m.notifyDrop(ctx)
 		if traced {
 			// No threshold was computed on this path; trace the queue's
@@ -424,7 +405,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 		} else {
 			if !fitsBuffer {
 				q.DropsNoBuffer++
-				m.ctrDropNoBuffer.Inc()
 				m.notifyDrop(ctx)
 				if traced {
 					m.emitAdmit(ctx, pkt, obs.VerdictDropNoBuffer, thr)
@@ -432,7 +412,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 				return DroppedNoBuffer
 			}
 			q.DropsThreshold++
-			m.ctrDropThreshold.Inc()
 			m.notifyDrop(ctx)
 			if traced {
 				m.emitAdmit(ctx, pkt, obs.VerdictDropThreshold, thr)
@@ -454,7 +433,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	switch decision {
 	case aqm.Drop:
 		q.DropsAQM++
-		m.ctrDropAQM.Inc()
 		m.notifyDrop(ctx)
 		if traced {
 			m.emitAdmit(ctx, pkt, obs.VerdictDropAQM, thr)
@@ -464,12 +442,10 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 		pkt.Trim()
 		size = pkt.Size()
 		m.TrimmedPkts++
-		m.ctrTrimmed.Inc()
 	case aqm.Mark:
 		pkt.Set(packet.FlagCE)
 		m.MarkedPkts++
 		q.MarkedPkts++
-		m.ctrMarked.Inc()
 		if m.obsSink.Enabled(obs.KindMark) {
 			m.emitQueueEvent(obs.KindMark, ctx, pkt, q.bytes)
 		}
@@ -486,8 +462,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	q.push(pkt, m.sw.sim.Now())
 	m.AdmittedPkts++
 	m.AdmittedBytes += size
-	m.ctrAdmittedPkts.Inc()
-	m.ctrAdmittedBytes.Add(int64(size))
 	if fa, ok := m.cfg.BM.(bm.FlowAware); ok {
 		fa.OnAdmit(ctx)
 	}
@@ -548,7 +522,6 @@ func (m *MMU) emitQueueEvent(kind obs.Kind, ctx *bm.Ctx, pkt *packet.Packet, qle
 func (m *MMU) notifyDrop(ctx *bm.Ctx) {
 	if ctx.Unscheduled {
 		m.sw.ports[ctx.Port].queues[ctx.Prio].DropsUnscheduled++
-		m.ctrDropUnscheduled.Inc()
 	}
 	if fa, ok := m.cfg.BM.(bm.FlowAware); ok {
 		fa.OnDrop(ctx)

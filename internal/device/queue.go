@@ -53,7 +53,7 @@ type Queue struct {
 	DequeuedBytes units.ByteCount
 
 	// Lifetime enqueue/dequeue/mark counters, for the per-queue
-	// telemetry summary (trace.WriteQueueCounters).
+	// telemetry summary (the -counters table).
 	EnqueuedPkts  int64
 	EnqueuedBytes units.ByteCount
 	DequeuedPkts  int64
@@ -71,6 +71,9 @@ type Queue struct {
 	DropsNoBuffer  int64
 	DropsAQM       int64
 	DropsAFD       int64
+	// DropsDequeue is the subset of DropsAQM discarded at dequeue by a
+	// sojourn-based AQM (Codel) rather than at admission.
+	DropsDequeue int64
 	// DropsUnscheduled counts dropped packets that carried the
 	// first-RTT tag (any cause).
 	DropsUnscheduled int64

@@ -130,9 +130,8 @@ type Switch struct {
 
 	statsTicker *sim.Ticker
 
-	obsSink        *obs.Sink
-	ctrDropDequeue *obs.Counter
-	histQDelay     *hist.Histogram
+	obsSink    *obs.Sink
+	histQDelay *hist.Histogram
 
 	RxPkts int64
 	// RouteDrops counts packets discarded because the router returned a
@@ -164,7 +163,6 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 		rng = s.Rand()
 	}
 	sw.obsSink = cfg.Obs
-	sw.ctrDropDequeue = cfg.Obs.Ctr(obs.CtrDropDequeue)
 	sw.histQDelay = cfg.Obs.Hist(obs.HistQueueDelay)
 	sw.mmu = newMMU(cfg.MMU, sw, rng, cfg.Obs)
 	if iv := cfg.MMU.StatsInterval; iv > 0 {
@@ -342,7 +340,7 @@ func (p *Port) maybeTransmit() {
 			now := p.sw.sim.Now()
 			if hook.OnDequeue(now-enqAt, now) {
 				q.DropsAQM++
-				p.sw.ctrDropDequeue.Inc()
+				q.DropsDequeue++
 				if p.sw.obsSink.Enabled(obs.KindDequeue) {
 					p.emitDequeue(pkt, q, enqAt, obs.VerdictDropDequeue)
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"abm/internal/obs"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
@@ -110,9 +112,12 @@ func TestObsSamplingSubset(t *testing.T) {
 }
 
 // TestPacketConservation pins the packet-conservation invariant on the
-// telemetry counters: every packet handed to a NIC is eventually
-// dropped at a switch, consumed by a receiver, or retired at a sender —
-// no packet is created or destroyed anywhere else.
+// counter view: every packet handed to a NIC is eventually dropped at a
+// switch, consumed by a receiver, or retired at a sender — no packet is
+// created or destroyed anywhere else. The busy cell covers admission and
+// AQM drops; the partitioned linkfail-incast variant (both of leaf0's
+// uplinks down from 2 ms to 4 ms) covers packets black-holed for lack of
+// a route.
 func TestPacketConservation(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		cell := obsCell()
@@ -122,33 +127,54 @@ func TestPacketConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		c := res.Counters
-		sent := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"]
-		accounted := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
-			c["model/drops_aqm"] + c["model/drops_afd"] + c["model/drops_dequeue"] +
-			c["model/data_pkts_consumed"] + c["model/ack_pkts_retired"]
-		if sent == 0 {
-			t.Fatalf("shards=%d: no packets sent", shards)
+		checkConservation(t, fmt.Sprintf("cell shards=%d", shards), res.Drops, res.Counters)
+	}
+	s, err := scenario.Load(filepath.Join("..", "..", "scenarios", "linkfail-incast.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Fabric.LinkFaults = []scenario.LinkFault{
+		{Link: "leaf0-spine0", At: scenario.Duration(2 * units.Millisecond), RecoverAt: scenario.Duration(4 * units.Millisecond)},
+		{Link: "leaf0-spine1", At: scenario.Duration(2 * units.Millisecond), RecoverAt: scenario.Duration(4 * units.Millisecond)},
+	}
+	s.Obs = obs.Options{Counters: true}
+	for _, shards := range []int{1, 2} {
+		s.Shards = shards
+		res, _, err := scenario.Run(s)
+		if err != nil {
+			t.Fatalf("partition shards=%d: %v", shards, err)
 		}
-		if sent != accounted {
-			t.Errorf("shards=%d: conservation violated: sent %d != accounted %d (counters: %v)",
-				shards, sent, accounted, c)
+		if res.Counters["model/drops_noroute"] == 0 {
+			t.Errorf("partition shards=%d: no black-holed packets counted (counters: %v)", shards, res.Counters)
 		}
-		// The overlapping tags stay within their parent counts.
-		if c["model/retrans_pkts_sent"] > c["model/data_pkts_sent"] {
-			t.Errorf("shards=%d: retransmits exceed data sends", shards)
-		}
-		drops := accounted - c["model/data_pkts_consumed"] - c["model/ack_pkts_retired"]
-		if c["model/drops_unscheduled"] > drops {
-			t.Errorf("shards=%d: unscheduled drops exceed total drops", shards)
-		}
-		// The experiment-level drop count and the telemetry registry must
-		// agree on admission drops.
-		admissionDrops := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
-			c["model/drops_aqm"] + c["model/drops_afd"]
-		if res.Drops != admissionDrops+c["model/drops_dequeue"] {
-			t.Errorf("shards=%d: Result.Drops %d != telemetry drops %d",
-				shards, res.Drops, admissionDrops+c["model/drops_dequeue"])
-		}
+		checkConservation(t, fmt.Sprintf("partition shards=%d", shards), res.Drops, res.Counters)
+	}
+}
+
+// checkConservation asserts sent == dropped + consumed + retired on one
+// run's counter view, and that the view's drops match the run's own
+// drop count.
+func checkConservation(t *testing.T, name string, resDrops int64, c map[string]int64) {
+	t.Helper()
+	sent := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"]
+	drops := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
+		c["model/drops_aqm"] + c["model/drops_afd"] + c["model/drops_dequeue"] +
+		c["model/drops_noroute"]
+	accounted := drops + c["model/data_pkts_consumed"] + c["model/ack_pkts_retired"]
+	if sent == 0 {
+		t.Fatalf("%s: no packets sent", name)
+	}
+	if sent != accounted {
+		t.Errorf("%s: conservation violated: sent %d != accounted %d (counters: %v)", name, sent, accounted, c)
+	}
+	// The overlapping tags stay within their parent counts.
+	if c["model/retrans_pkts_sent"] > c["model/data_pkts_sent"] {
+		t.Errorf("%s: retransmits exceed data sends", name)
+	}
+	if c["model/drops_unscheduled"] > drops {
+		t.Errorf("%s: unscheduled drops exceed total drops", name)
+	}
+	if resDrops != drops {
+		t.Errorf("%s: Result.Drops %d != counter-view drops %d", name, resDrops, drops)
 	}
 }

@@ -56,14 +56,12 @@ type Host struct {
 	senders   map[uint64]*transport.Sender
 	receivers map[uint64]*transport.Receiver
 
-	// Telemetry handles (nil-safe when disabled). Output is the single
-	// counting point for emissions: sender data and receiver ACKs both
-	// route through it.
-	ctrDataSent     *obs.Counter
-	ctrRetransSent  *obs.Counter
-	ctrAckSent      *obs.Counter
-	ctrDataConsumed *obs.Counter
-	ctrAckRetired   *obs.Counter
+	// Packet counters. Data sends are counted by the host's senders
+	// (Sender.PktsSent); Output counts the receivers' ACKs and Receive
+	// the packets this host is the final owner of.
+	AckPktsSent      int64
+	DataPktsConsumed int64
+	AckPktsRetired   int64
 }
 
 // New creates a host. Attach the uplink with Connect before starting
@@ -86,11 +84,6 @@ func New(s *sim.Simulator, cfg Config) *Host {
 		receivers: make(map[uint64]*transport.Receiver),
 	}
 	h.txDone = h.finishTx
-	h.ctrDataSent = cfg.Obs.Ctr(obs.CtrDataSent)
-	h.ctrRetransSent = cfg.Obs.Ctr(obs.CtrRetransSent)
-	h.ctrAckSent = cfg.Obs.Ctr(obs.CtrAckSent)
-	h.ctrDataConsumed = cfg.Obs.Ctr(obs.CtrDataConsumed)
-	h.ctrAckRetired = cfg.Obs.Ctr(obs.CtrAckRetired)
 	return h
 }
 
@@ -114,11 +107,11 @@ func (h *Host) Receive(pkt *packet.Packet) {
 		if sn, ok := h.senders[pkt.FlowID]; ok {
 			sn.OnAck(pkt)
 		}
-		h.ctrAckRetired.Inc()
+		h.AckPktsRetired++
 		h.sim.FreePacket(pkt)
 		return
 	}
-	h.ctrDataConsumed.Inc()
+	h.DataPktsConsumed++
 	h.RxBytes += pkt.Payload
 	rc, ok := h.receivers[pkt.FlowID]
 	if !ok {
@@ -133,12 +126,7 @@ func (h *Host) Receive(pkt *packet.Packet) {
 // rate onto the access link.
 func (h *Host) Output(pkt *packet.Packet) {
 	if pkt.Is(packet.FlagACK) {
-		h.ctrAckSent.Inc()
-	} else {
-		h.ctrDataSent.Inc()
-		if pkt.Is(packet.FlagRetransmit) {
-			h.ctrRetransSent.Inc()
-		}
+		h.AckPktsSent++
 	}
 	h.queue = append(h.queue, pkt)
 	h.maybeTransmit()

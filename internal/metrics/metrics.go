@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"abm/internal/units"
@@ -62,6 +63,29 @@ func (r FlowRecord) Slowdown() float64 {
 // Throughput returns the flow's achieved goodput.
 func (r FlowRecord) Throughput() units.Rate {
 	return units.RateOf(r.Size, r.FCT())
+}
+
+// WriteFlows dumps one TSV row per flow record, sorted by start time:
+// the flow log abmsim's -flows flag writes.
+func WriteFlows(w io.Writer, flows []FlowRecord) error {
+	if _, err := fmt.Fprintln(w, "id\tclass\tprio\tsize_bytes\tstart_us\tfct_us\tideal_us\tslowdown\tfinished"); err != nil {
+		return err
+	}
+	sorted := append([]FlowRecord(nil), flows...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
+	for _, f := range sorted {
+		fct, slow := 0.0, 0.0
+		if f.Finished {
+			fct = f.FCT().Microseconds()
+			slow = f.Slowdown()
+		}
+		if _, err := fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%.3f\t%.3f\t%.3f\t%.2f\t%v\n",
+			f.ID, f.Class, f.Prio, int64(f.Size),
+			f.Start.Microseconds(), fct, f.Ideal.Microseconds(), slow, f.Finished); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Collector accumulates flow records and buffer-occupancy samples.

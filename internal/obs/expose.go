@@ -47,12 +47,12 @@ var histFamilies = []histFamily{
 }
 
 // WriteProm renders the session's model-side exposition: the merged
-// histograms as abm_* histogram families and the model/ counters as
-// abm_model_* counters, led by an abm_sim_time_seconds gauge. Engine
-// counters carry wall-clock measurements and are excluded, so the
-// whole exposition — like the histograms themselves — is byte-
-// identical at any shard count.
-func (s *Session) WriteProm(w *prom.Writer, now units.Time) {
+// histograms as abm_* histogram families and the model/ keys of totals
+// (the run's counter view) as abm_model_* counters, led by an
+// abm_sim_time_seconds gauge. Engine counters carry wall-clock
+// measurements and are excluded, so the whole exposition — like the
+// histograms themselves — is byte-identical at any shard count.
+func (s *Session) WriteProm(w *prom.Writer, now units.Time, totals map[string]int64) {
 	w.Family("abm_sim_time_seconds", "gauge", "Simulated time of this snapshot.")
 	w.Sample("abm_sim_time_seconds", nil, float64(now)/1e12)
 	if s == nil {
@@ -74,7 +74,6 @@ func (s *Session) WriteProm(w *prom.Writer, now units.Time) {
 			}
 		}
 	}
-	totals := s.Totals()
 	keys := make([]string, 0, len(totals))
 	for k := range totals {
 		if strings.HasPrefix(k, "model/") {

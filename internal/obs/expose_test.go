@@ -11,7 +11,7 @@ import (
 // hand-filled two-shard session must render exactly this text. The
 // golden covers HELP/TYPE lines, the class-labeled slowdown family,
 // cumulative le buckets with unit scaling, +Inf/_sum/_count, and the
-// sorted model counter tail.
+// sorted model counter tail (engine keys excluded).
 func TestWritePromGolden(t *testing.T) {
 	sess, err := NewSession(Options{Counters: true, Hists: true}, 2)
 	if err != nil {
@@ -24,11 +24,11 @@ func TestWritePromGolden(t *testing.T) {
 	sess.ShardSink(1).Hist(HistSlowdownIncast).Record(8000)
 	sess.ShardSink(0).Hist(HistQueueDelay).Record(2_500_000) // 2.5us
 	sess.ShardSink(1).Hist(HistAdmitHeadroom).Record(-300)   // at/past threshold
-	sess.ShardSink(0).Ctr(CtrAdmittedPkts).Add(12)
-	sess.ShardSink(1).Ctr(CtrAdmittedPkts).Add(30)
+	// Only model/ keys of the counter view are exposed.
+	totals := map[string]int64{"model/admitted_pkts": 42, "engine/windows": 7}
 
 	var w prom.Writer
-	sess.WriteProm(&w, 2*units.Millisecond)
+	sess.WriteProm(&w, 2*units.Millisecond, totals)
 	got := string(w.Bytes())
 
 	const want = `# HELP abm_sim_time_seconds Simulated time of this snapshot.

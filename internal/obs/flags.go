@@ -7,16 +7,17 @@ import (
 )
 
 // Flags registers the shared telemetry flag surface on the default flag
-// set. Every simulation CLI (abmsim, figures, sweep) exposes the same
-// names; the only difference is whether paths mean files (one run) or
-// directories (one file per job).
+// set. Every simulation CLI (abmsim, figures, sweepd serve) exposes the
+// same names; the only difference is whether paths mean files (one run)
+// or directories (one file per job).
 type Flags struct {
 	Opts Options
 }
 
 // AddFlags registers -trace-events, -trace-chrome, -trace-filter,
-// -trace-sample and -counters. perJob selects directory semantics for
-// the path flags (figures/sweep) instead of single files (abmsim).
+// -trace-sample, -counters, -hists, -hist-snapshots and -metrics-addr.
+// perJob selects directory semantics for the path flags (figures,
+// sweepd serve) instead of single files (abmsim).
 func (f *Flags) AddFlags(perJob bool) {
 	f.AddFlagsTo(flag.CommandLine, perJob)
 }

@@ -8,8 +8,8 @@ import (
 	"abm/internal/units"
 )
 
-// HistID identifies one histogram in the registry. Like counters,
-// histograms have fixed IDs resolved to *hist.Histogram handles at
+// HistID identifies one histogram in the registry. Histograms have
+// fixed IDs resolved to *hist.Histogram handles at
 // component setup, so the hot path performs plain array increments —
 // no map lookups, no atomics (each shard owns its Sink), and a nil
 // handle when histograms are off.

@@ -1,12 +1,16 @@
-// Package obs is the simulator's telemetry layer: a deterministic
-// counter registry plus a structured event tracer, designed so that a
-// disabled instrument costs nothing on the packet hot path.
+// Package obs is the simulator's telemetry layer: a structured event
+// tracer and a streaming histogram registry, designed so that a
+// disabled instrument costs nothing on the packet hot path. Counter
+// totals are not kept here: every model/ and engine/ count is a field
+// of the component that owns the fact (queues, MMUs, hosts, senders,
+// the hybrid controller, the parallel engine), read into one view
+// after the run by internal/scenario.
 //
 // # Zero cost when disabled
 //
 // Every instrumented component holds a *Sink (nil when telemetry is
-// off) and *Counter handles resolved once at setup. All hot-path
-// methods — Counter.Inc/Add, Sink.Enabled — are nil-receiver-safe
+// off) and *hist.Histogram handles resolved once at setup. The hot-path
+// gates — Sink.Enabled, Histogram.Record — are nil-receiver-safe
 // single-branch operations that inline, so the disabled configuration
 // adds no allocation, no map lookup, no atomic, and no call through an
 // interface to the packet lifecycle (pinned by TestSteadyStateZeroAlloc).
@@ -15,15 +19,13 @@
 //
 // The parallel engine gives every shard its own Sink, written only by
 // that shard's goroutine; no synchronization is needed until export.
-// Model counters are summed across sinks (addition commutes, so the
-// totals are trivially shard-count-invariant). Model events are merged
-// by a stable sort on the identity key (At, Node, Port, Prio, Flow,
-// Seq, Kind): two distinct model events can collide on the full key
-// only if they concern the same queue or flow at the same picosecond,
-// which places them in the same shard buffer in the engine's canonical
-// execution order — so the merged stream, like the simulation output
-// it narrates, is byte-identical at any shard count. Engine events
-// (KindWindow, KindBarrier) and engine/ counters carry wall-clock
+// Model events are merged by a stable sort on the identity key (At,
+// Node, Port, Prio, Flow, Seq, Kind): two distinct model events can
+// collide on the full key only if they concern the same queue or flow
+// at the same picosecond, which places them in the same shard buffer
+// in the engine's canonical execution order — so the merged stream,
+// like the simulation output it narrates, is byte-identical at any
+// shard count. Engine events (KindWindow, KindBarrier) carry wall-clock
 // measurements and are excluded from that guarantee.
 //
 // The optional sampling ratio hashes each event's identity against a
@@ -221,17 +223,19 @@ type Event struct {
 	Unsched bool
 }
 
-// Sink collects events and counters for one shard (or for the serial
-// engine, which is one shard). A Sink is single-writer: only the owning
+// Sink collects events and histograms for one shard (or for the
+// parallel coordinator). A Sink is single-writer: only the owning
 // shard's goroutine appends to it; merging happens after the run on the
 // coordinator. A nil *Sink is the disabled instrument.
 type Sink struct {
 	mask   uint32
 	bar53  uint64 // sampling threshold in [0, 2^53]; 1<<53 keeps all
-	max    int    // event-buffer cap
+	max    int    // event-buffer cap (maxEvents outside tests)
 	events []Event
-	ctrs   [NumCtrs]Counter
-	hists  *[NumHists]hist.Histogram // nil unless Options.Hists
+	// dropped counts events discarded at the buffer cap; the counter
+	// view exports the session total as engine/trace_events_dropped.
+	dropped int64
+	hists   *[NumHists]hist.Histogram // nil unless Options.Hists
 }
 
 // Enabled reports whether events of kind k are being recorded. It is
@@ -239,15 +243,6 @@ type Sink struct {
 // true, so the disabled path costs one nil check and one mask test.
 func (s *Sink) Enabled(k Kind) bool {
 	return s != nil && s.mask&(1<<k) != 0
-}
-
-// Ctr returns the handle for counter id, nil on a nil sink. Resolved
-// once at component setup; never on the hot path.
-func (s *Sink) Ctr(id Ctr) *Counter {
-	if s == nil {
-		return nil
-	}
-	return &s.ctrs[id]
 }
 
 // Emit records ev. The caller must have checked Enabled(ev.Kind).
@@ -261,11 +256,15 @@ func (s *Sink) Emit(ev Event) {
 		return
 	}
 	if len(s.events) >= s.max {
-		s.ctrs[CtrTraceDropped].n++
+		s.dropped++
 		return
 	}
 	s.events = append(s.events, ev)
 }
+
+// maxEvents caps each sink's event buffer. Overflow is counted as
+// engine/trace_events_dropped instead of growing without bound.
+const maxEvents = 1 << 20
 
 // Events returns the sink's raw buffer (shard-local order).
 func (s *Sink) Events() []Event {

@@ -22,8 +22,8 @@ type Options struct {
 	// CountersFile receives the counter totals and the per-queue
 	// summary TSV.
 	CountersFile string `json:"counters_file,omitempty"`
-	// Counters alone (no files) still activates the registry so totals
-	// embed in runner records.
+	// Counters alone (no files) still activates the session so the
+	// counter totals embed in runner records.
 	Counters bool `json:"counters,omitempty"`
 	// Filter is the event-kind mask (ParseMask syntax); empty records
 	// every kind when an event destination is set.
@@ -32,10 +32,6 @@ type Options struct {
 	// events (admit/enqueue/dequeue/mark), selected by an identity hash
 	// so the subset is shard-count-invariant. <=0 or >=1 keeps all.
 	Sample float64 `json:"sample,omitempty"`
-	// MaxEvents caps each shard's event buffer; 0 selects 1<<20.
-	// Overflow increments engine/trace_events_dropped instead of
-	// growing without bound.
-	MaxEvents int `json:"max_events,omitempty"`
 	// PerJob marks the path fields as directories: each job of a sweep
 	// or figure resolves its own file inside them via ForJob.
 	PerJob bool `json:"per_job,omitempty"`
@@ -88,8 +84,8 @@ func (o Options) ForJob(id string) Options {
 	return o
 }
 
-// sanitizeID maps a job ID to a safe file stem (the runner store's
-// convention: keep [a-zA-Z0-9._=,-], everything else becomes '-').
+// sanitizeID maps a job ID to a safe file stem: it keeps
+// [a-zA-Z0-9._=,-] and turns everything else into '-'.
 func sanitizeID(id string) string {
 	var b strings.Builder
 	b.Grow(len(id))
@@ -132,21 +128,17 @@ func NewSession(o Options, shards int) (*Session, error) {
 	if o.Sample > 0 && o.Sample < 1 {
 		bar53 = uint64(o.Sample * float64(uint64(1)<<53))
 	}
-	max := o.MaxEvents
-	if max <= 0 {
-		max = 1 << 20
-	}
 	if shards < 1 {
 		shards = 1
 	}
 	s := &Session{opts: o, sinks: make([]*Sink, shards)}
 	for i := range s.sinks {
-		s.sinks[i] = &Sink{mask: mask, bar53: bar53, max: max}
+		s.sinks[i] = &Sink{mask: mask, bar53: bar53, max: maxEvents}
 		if o.HistsActive() {
 			s.sinks[i].hists = new([NumHists]hist.Histogram)
 		}
 	}
-	s.engine = &Sink{mask: mask, bar53: bar53, max: max}
+	s.engine = &Sink{mask: mask, bar53: bar53, max: maxEvents}
 	return s, nil
 }
 
@@ -222,37 +214,15 @@ func (s *Session) MergedEvents() []Event {
 	return out
 }
 
-// Totals sums every counter across all sinks, keyed by export name.
-// Zero-valued counters are omitted. Addition commutes, so the model/
-// keys are shard-count-invariant; engine/ keys carry wall clocks and
-// are not.
-func (s *Session) Totals() map[string]int64 {
+// EventsDropped returns the number of events every sink discarded at
+// its buffer cap (0 on a nil session).
+func (s *Session) EventsDropped() int64 {
 	if s == nil {
-		return nil
+		return 0
 	}
-	out := make(map[string]int64)
-	add := func(sk *Sink) {
-		for id := Ctr(0); id < NumCtrs; id++ {
-			if v := sk.ctrs[id].n; v != 0 {
-				out[id.Name()] += v
-			}
-		}
-	}
+	n := s.engine.dropped
 	for _, sk := range s.sinks {
-		add(sk)
+		n += sk.dropped
 	}
-	add(s.engine)
-	return out
-}
-
-// ModelTotals returns only the model/ counters — the shard-count-
-// invariant subset the determinism tests compare.
-func (s *Session) ModelTotals() map[string]int64 {
-	all := s.Totals()
-	for k := range all {
-		if !strings.HasPrefix(k, "model/") {
-			delete(all, k)
-		}
-	}
-	return all
+	return n
 }

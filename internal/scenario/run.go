@@ -34,9 +34,9 @@ type Result struct {
 	UnscheduledDrops int64
 	Events           uint64
 
-	// Counters holds the telemetry counter totals by export name when the
-	// scenario enabled telemetry; nil otherwise. The keys and values are
-	// shard-count-invariant.
+	// Counters holds the counter view (model/ and engine/ totals by
+	// export name) when the scenario enabled telemetry; nil otherwise.
+	// The model/ keys and values are shard-count-invariant.
 	Counters map[string]int64
 
 	// Hists holds the merged histogram snapshots by export name when the
@@ -176,10 +176,6 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	rec, err := newHistRecorder(r, sess, col, n)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	// The hybrid controller (one shard only, see Resolve) installs the
 	// flow-start hook and its epoch ticker before any flow launches.
 	var ctl *hybrid.Controller
@@ -191,6 +187,11 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 			Obs:           sess.ShardSink(0),
 		})
 		ctl.Start()
+	}
+	totals := func() map[string]int64 { return counterTotals(n, p, ctl, sess) }
+	rec, err := newHistRecorder(r, sess, col, n, totals)
+	if err != nil {
+		return Result{}, nil, err
 	}
 	if lf != nil {
 		lf.Schedule()
@@ -216,13 +217,15 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	rec.finish(drainEnd)
 
 	res := collectResult(r, n, col, cfg.LinkRate, p.Executed())
-	res.Counters = sess.Totals()
+	if sess != nil {
+		res.Counters = totals()
+	}
 	res.Hists = sess.HistTotals()
 	if ctl != nil {
 		st := ctl.Stats()
 		res.Hybrid = &st
 	}
-	if err := writeObsOutputs(r.Obs, sess, n, rec); err != nil {
+	if err := writeObsOutputs(r.Obs, sess, n, rec, res.Counters); err != nil {
 		return Result{}, nil, err
 	}
 	return res, col, nil

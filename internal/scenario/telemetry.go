@@ -42,13 +42,14 @@ type histRecorder struct {
 
 	barrier *sim.BarrierTicker
 	live    *liveServer
+	totals  func() map[string]int64 // the run's counter view, for live scrapes
 }
 
 // newHistRecorder returns nil when the scenario records no histograms.
 // It starts the live /metrics server immediately when one is requested,
 // so a scrape can watch the run from its first tick.
 func newHistRecorder(r Scenario, sess *obs.Session, col *metrics.Collector,
-	n *topo.Network) (*histRecorder, error) {
+	n *topo.Network, totals func() map[string]int64) (*histRecorder, error) {
 
 	if !sess.HistsEnabled() {
 		return nil, nil
@@ -64,7 +65,8 @@ func newHistRecorder(r Scenario, sess *obs.Session, col *metrics.Collector,
 			sink.Hist(obs.HistSlowdownLong),
 			sink.Hist(obs.HistSlowdownOther),
 		},
-		occ: sink.Hist(obs.HistQueueOcc),
+		occ:    sink.Hist(obs.HistQueueOcc),
+		totals: totals,
 	}
 	if addr := r.Obs.MetricsAddr; addr != "" {
 		live, err := startLiveServer(addr)
@@ -179,7 +181,7 @@ func (r *histRecorder) publish(now units.Time) {
 		return
 	}
 	var w prom.Writer
-	r.sess.WriteProm(&w, now)
+	r.sess.WriteProm(&w, now, r.totals())
 	r.live.publish(w.Bytes())
 }
 

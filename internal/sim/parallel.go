@@ -99,14 +99,18 @@ type Parallel struct {
 
 	// Telemetry (nil when disabled). Each shard's worker writes window
 	// spans into its own shard sink (single-writer); the coordinator
-	// alone touches the engine sink and counters, between windows.
-	shardSinks        []*obs.Sink
-	engineSink        *obs.Sink
-	ctrWindows        *obs.Counter
-	ctrBarriers       *obs.Counter
-	ctrBarrierWaitNs  *obs.Counter
-	ctrMailboxBatches *obs.Counter
-	ctrMailboxEvents  *obs.Counter
+	// alone touches the engine sink and the counters below, between
+	// windows.
+	shardSinks []*obs.Sink
+	engineSink *obs.Sink
+
+	// Counters, exported as the engine/ telemetry keys. BarrierWaitNs
+	// is wall-clock time and is measured only with a session attached.
+	Windows        int64 // lookahead windows executed
+	Barriers       int64 // coordinator barriers (mailbox flushes)
+	BarrierWaitNs  int64 // coordinator wall ns blocked on shard workers
+	MailboxBatches int64 // non-empty mailbox drains
+	MailboxEvents  int64 // events merged across shard boundaries
 }
 
 // NewParallel creates an engine with n shards. Shard i's simulator is
@@ -163,18 +167,13 @@ func (p *Parallel) anyPosted() bool {
 
 // SetObs attaches a telemetry session, which must have been created with
 // this engine's shard count. Call before the first window: the engine
-// resolves per-shard sinks and its coordinator counter handles once
-// here. A nil session (telemetry off) is a no-op.
+// resolves its per-shard and coordinator sinks once here. A nil session
+// (telemetry off) is a no-op.
 func (p *Parallel) SetObs(sess *obs.Session) {
 	if sess == nil {
 		return
 	}
 	p.engineSink = sess.EngineSink()
-	p.ctrWindows = p.engineSink.Ctr(obs.CtrWindows)
-	p.ctrBarriers = p.engineSink.Ctr(obs.CtrBarriers)
-	p.ctrBarrierWaitNs = p.engineSink.Ctr(obs.CtrBarrierWaitNs)
-	p.ctrMailboxBatches = p.engineSink.Ctr(obs.CtrMailboxBatches)
-	p.ctrMailboxEvents = p.engineSink.Ctr(obs.CtrMailboxEvents)
 	p.shardSinks = make([]*obs.Sink, len(p.shards))
 	for i := range p.shardSinks {
 		p.shardSinks[i] = sess.ShardSink(i)
@@ -267,14 +266,14 @@ func (p *Parallel) AtBarrier(t units.Time, fn func(now units.Time)) *BarrierTick
 // events pop first, and posting order decides within one mailbox.
 // Coordinator-only.
 func (p *Parallel) flush() {
-	p.ctrBarriers.Inc()
+	p.Barriers++
 	for _, m := range p.boxes {
 		buf := m.buf
 		if len(buf) == 0 {
 			continue
 		}
-		p.ctrMailboxBatches.Inc()
-		p.ctrMailboxEvents.Add(int64(len(buf)))
+		p.MailboxBatches++
+		p.MailboxEvents += int64(len(buf))
 		// A link posts deliveries in nondecreasing time order, so the
 		// buffer is nearly always sorted; check before paying for a sort.
 		sorted := true
@@ -394,7 +393,7 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 	if p.closed {
 		panic("sim: parallel engine used after Close")
 	}
-	p.ctrWindows.Inc()
+	p.Windows++
 	req := windowReq{start: p.now, limit: limit, inclusive: inclusive}
 	inline := -1
 	dispatched := 0
@@ -419,15 +418,15 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 		return
 	}
 	// Measure the coordinator's wait only when telemetry asks for it;
-	// the handle is nil exactly when the whole subsystem is off.
-	if p.ctrBarrierWaitNs == nil {
+	// the engine sink is nil exactly when the whole subsystem is off.
+	if p.engineSink == nil {
 		p.wg.Wait()
 		return
 	}
 	wall := time.Now()
 	p.wg.Wait()
 	waitNs := time.Since(wall).Nanoseconds()
-	p.ctrBarrierWaitNs.Add(waitNs)
+	p.BarrierWaitNs += waitNs
 	if p.engineSink.Enabled(obs.KindBarrier) {
 		active := int64(dispatched)
 		if inline >= 0 {

@@ -108,11 +108,8 @@ type Sender struct {
 	Timeouts    int64
 	FastRetrans int64
 
-	// Telemetry handles (nil-safe when disabled).
-	obsSink        *obs.Sink
-	ctrRTOFired    *obs.Counter
-	ctrCwndCuts    *obs.Counter
-	ctrFastRetrans *obs.Counter
+	// Telemetry sink (nil when disabled).
+	obsSink *obs.Sink
 }
 
 // NewSender creates a flow sender. The congestion-control algorithm must
@@ -137,9 +134,6 @@ func NewSender(s *sim.Simulator, cfg Config, alg cc.Algorithm,
 	sn.rtoFn = sn.onRTO
 	sn.pacingFn = func() { sn.trySend() }
 	sn.obsSink = cfg.Obs
-	sn.ctrRTOFired = cfg.Obs.Ctr(obs.CtrRTOFired)
-	sn.ctrCwndCuts = cfg.Obs.Ctr(obs.CtrCwndCuts)
-	sn.ctrFastRetrans = cfg.Obs.Ctr(obs.CtrFastRetrans)
 	return sn
 }
 
@@ -307,8 +301,6 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 		sn.lastDisturb = now
 		sn.alg.OnRecovery(now)
 		sn.FastRetrans++
-		sn.ctrFastRetrans.Inc()
-		sn.ctrCwndCuts.Inc()
 		if sn.obsSink.Enabled(obs.KindCwndCut) {
 			sn.obsSink.Emit(obs.Event{
 				At:   now,
@@ -344,8 +336,6 @@ func (sn *Sender) onRTO() {
 	}
 	sn.Timeouts++
 	sn.lastDisturb = sn.sim.Now()
-	sn.ctrRTOFired.Inc()
-	sn.ctrCwndCuts.Inc()
 	sn.alg.OnTimeout(sn.sim.Now())
 	if sn.obsSink.Enabled(obs.KindTimeout) {
 		// Aux carries the timeout duration that just fired (the armRTO
